@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Benchmark the LTE epoch hot path: scalar vs vectorized vs incremental.
+"""Benchmark the LTE epoch hot path: scalar vs incremental.
 
 Times ``LteNetworkSimulator.run_epoch`` under saturated demand on seeded
 random deployments at several cell counts, and writes the measurements to
@@ -7,16 +7,16 @@ random deployments at several cell counts, and writes the measurements to
 
 The scalar (reference) backend is quadratic in cells per subchannel and
 becomes very slow past ~50 cells, so by default it is only timed up to
-``--max-scalar-cells`` (50); larger sizes record the vectorized backend
+``--max-scalar-cells`` (50); larger sizes record the incremental backend
 alone.  Both backends are bit-identical for the same seeds
-(``tests/test_lte_network_vectorized.py``), so the speedup is free.
+(``tests/test_lte_network_incremental.py``), so the speedup is free.
 
-``--activity-sweep`` instead benchmarks the *incremental* backend against
-the dense vectorized backend while sweeping per-epoch activity (the
-fraction of cells whose clients move and carry traffic each epoch),
-writing ``BENCH_incremental.json``.  With ``--smoke`` the sweep also runs
-the scalar oracle with the same culling horizon and asserts per-epoch
-digest equality plus dirty-counter sanity (the CI job).
+``--activity-sweep`` instead benchmarks the incremental backend against
+the scalar oracle, both with the same culling horizon, while sweeping
+per-epoch activity (the fraction of cells whose clients move and carry
+traffic each epoch), writing ``BENCH_incremental.json``.  With
+``--smoke`` the sweep also asserts per-epoch digest equality between the
+two arms plus dirty-counter sanity (the CI job).
 
 ``--city`` benchmarks the spatial shard engine
 (:class:`repro.sim.shard.ShardedNetwork`) on a city-scale deployment
@@ -55,7 +55,6 @@ import numpy as np
 from repro.lte.network import (
     BACKEND_INCREMENTAL,
     BACKEND_SCALAR,
-    BACKEND_VECTORIZED,
     AllSubchannelsPolicy,
     EpochResult,
     LteNetworkSimulator,
@@ -193,18 +192,18 @@ def run_benchmark(
     results = []
     for n_cells in sizes:
         entry: Dict = {"cells": n_cells, "clients": n_cells * CLIENTS_PER_AP}
-        net = build_network(n_cells, BACKEND_VECTORIZED)
-        entry["vectorized"] = time_epochs(net, n_epochs)
+        net = build_network(n_cells, BACKEND_INCREMENTAL)
+        entry["incremental"] = time_epochs(net, n_epochs)
         print(
-            f"{n_cells:4d} cells  vectorized  "
-            f"{entry['vectorized']['per_epoch_s'] * 1e3:9.1f} ms/epoch"
+            f"{n_cells:4d} cells  incremental "
+            f"{entry['incremental']['per_epoch_s'] * 1e3:9.1f} ms/epoch"
         )
         if n_cells <= max_scalar_cells:
             net = build_network(n_cells, BACKEND_SCALAR)
             entry["scalar"] = time_epochs(net, n_epochs)
             entry["speedup"] = (
                 entry["scalar"]["per_epoch_s"]
-                / entry["vectorized"]["per_epoch_s"]
+                / entry["incremental"]["per_epoch_s"]
             )
             print(
                 f"{n_cells:4d} cells  scalar      "
@@ -216,7 +215,7 @@ def run_benchmark(
             entry["note"] = (
                 f"scalar backend skipped above {max_scalar_cells} cells "
                 "(reference implementation is too slow; it is bit-identical "
-                "to the vectorized backend)"
+                "to the incremental backend)"
             )
         results.append(entry)
     return {
@@ -274,7 +273,7 @@ def _sweep_scenario(
     n_active = max(1, int(round(activity * n_cells)))
     rng = np.random.default_rng(SEED + 1)
     active_aps = sorted(rng.choice(n_cells, size=n_active, replace=False).tolist())
-    reference = build_network(n_cells, BACKEND_VECTORIZED)
+    reference = build_network(n_cells, BACKEND_INCREMENTAL)
     demands: Dict[int, float] = {}
     movers: List[int] = []
     for ap_id in active_aps:
@@ -379,12 +378,12 @@ def run_activity_sweep(
     check: bool,
     cull_loss_db: float = SWEEP_CULL_LOSS_DB,
 ) -> Dict:
-    """Benchmark incremental vs dense vectorized across activity levels.
+    """Benchmark incremental vs the scalar oracle across activity levels.
 
-    With ``check=True`` a scalar arm with the *same* culling horizon runs
-    as the bit-identity oracle: its per-epoch digests must equal the
-    incremental arm's, and the incremental dirty counters must match the
-    number of cells whose clients moved.
+    Both arms share the culling horizon.  With ``check=True`` the scalar
+    arm's per-epoch digests must equal the incremental arm's, and the
+    incremental dirty counters must match the number of cells whose
+    clients moved.
     """
     results = []
     for activity in activities:
@@ -395,22 +394,19 @@ def run_activity_sweep(
             "active_cells": len(active_aps),
             "moving_clients": len(movers),
         }
-        entry["vectorized"] = _run_sweep_arm(
-            n_cells, BACKEND_VECTORIZED, None, demands, schedule, check
+        entry["scalar"] = _run_sweep_arm(
+            n_cells, BACKEND_SCALAR, cull_loss_db, demands, schedule, check
         )
         entry["incremental"] = _run_sweep_arm(
             n_cells, BACKEND_INCREMENTAL, cull_loss_db, demands, schedule, check
         )
-        entry["speedup_vs_vectorized"] = (
-            entry["vectorized"]["per_epoch_s"]
+        entry["speedup_vs_scalar"] = (
+            entry["scalar"]["per_epoch_s"]
             / entry["incremental"]["per_epoch_s"]
         )
         if check:
-            scalar = _run_sweep_arm(
-                n_cells, BACKEND_SCALAR, cull_loss_db, demands, schedule, True
-            )
             entry["digest_match"] = (
-                scalar["digests"] == entry["incremental"]["digests"]
+                entry["scalar"]["digests"] == entry["incremental"]["digests"]
             )
             if not entry["digest_match"]:
                 raise SystemExit(
@@ -432,15 +428,15 @@ def run_activity_sweep(
                 )
             entry["dirty_counter_ok"] = True
             # Digest payloads served their purpose; keep the JSON small.
-            for arm in (entry["vectorized"], entry["incremental"]):
+            for arm in (entry["scalar"], entry["incremental"]):
                 arm.pop("digests", None)
         results.append(entry)
         check_note = "  digests ok" if check else ""
         print(
             f"activity {activity:5.2f}  ({len(active_aps):3d} cells)  "
-            f"vectorized {entry['vectorized']['per_epoch_s'] * 1e3:8.1f} ms  "
+            f"scalar {entry['scalar']['per_epoch_s'] * 1e3:8.1f} ms  "
             f"incremental {entry['incremental']['per_epoch_s'] * 1e3:8.1f} ms  "
-            f"speedup {entry['speedup_vs_vectorized']:5.1f}x{check_note}"
+            f"speedup {entry['speedup_vs_scalar']:5.1f}x{check_note}"
         )
     return {
         "benchmark": "lte-epoch-incremental",
@@ -1235,7 +1231,7 @@ def main() -> None:
         "--activity-sweep",
         action="store_true",
         help=(
-            "benchmark the incremental backend against dense vectorized "
+            "benchmark the incremental backend against the scalar oracle "
             f"across activity levels; writes {INCREMENTAL_OUTPUT_PATH.name}"
         ),
     )
@@ -1253,8 +1249,8 @@ def main() -> None:
         "--check",
         action="store_true",
         help=(
-            "with --activity-sweep: also run the culled scalar oracle and "
-            "assert digest equality (implied by --smoke)"
+            "with --activity-sweep: also assert scalar/incremental digest "
+            "equality (implied by --smoke)"
         ),
     )
     parser.add_argument(

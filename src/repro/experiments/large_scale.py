@@ -28,11 +28,7 @@ from repro.core.interference.manager import CellFiInterferenceManager
 from repro.experiments.common import Scenario, build_scenario
 from repro.experiments.sweep import SweepSpec, run_sweep
 from repro.obs import runtime as _obs_runtime
-from repro.lte.network import (
-    BACKEND_INCREMENTAL,
-    BACKEND_VECTORIZED,
-    LteNetworkSimulator,
-)
+from repro.lte.network import LteNetworkSimulator
 from repro.sim.shard import ChaosPolicy, ShardedNetwork, SupervisionConfig
 from repro.sim.topology import grid_partition
 from repro.sim.checkpoint import (
@@ -77,7 +73,6 @@ def _supervision_config(
 def _make_lte_net(
     scenario: Scenario,
     stream_label: str,
-    backend: str = BACKEND_VECTORIZED,
     shards: int = 1,
     shard_mode: str = "auto",
     shard_supervise: bool = False,
@@ -91,7 +86,6 @@ def _make_lte_net(
             grid=scenario.grid(),
             channel=scenario.channel,
             rngs=scenario.rngs.fork(stream_label),
-            backend=backend,
         )
     # Sharded city-scale path: every worker rebuilds the same seeded
     # scenario (fork() is a pure seed derivation, so the parent's RNG
@@ -109,7 +103,6 @@ def _make_lte_net(
             grid=worker_scenario.grid(),
             channel=worker_scenario.channel,
             rngs=worker_scenario.rngs.fork(stream_label),
-            backend=BACKEND_INCREMENTAL,
             shard_ap_ids=ap_ids,
         )
 
@@ -182,7 +175,6 @@ class SaturatedLteRun:
         n_aps: int,
         clients_per_ap: int = 6,
         epochs: int = 15,
-        backend: str = BACKEND_VECTORIZED,
         scenario: Optional[Scenario] = None,
         shards: int = 1,
         shard_mode: str = "auto",
@@ -220,7 +212,6 @@ class SaturatedLteRun:
             "n_aps": n_aps,
             "clients_per_ap": clients_per_ap,
             "epochs": epochs,
-            "backend": backend,
             "shards": shards,
             "shard_mode": shard_mode,
         }
@@ -243,7 +234,6 @@ class SaturatedLteRun:
         self.net = _make_lte_net(
             self.scenario,
             f"net-{tech}",
-            backend=backend,
             shards=shards,
             shard_mode=shard_mode,
             shard_supervise=shard_supervise,
@@ -397,6 +387,9 @@ class SaturatedLteRun:
     def from_snapshot(cls, snapshot: Snapshot) -> "SaturatedLteRun":
         """Build-then-load: reconstruct from the embedded config, restore."""
         config = from_jsonable(snapshot.meta["config"])
+        # Older snapshots name the epoch backend they ran on; every backend
+        # is bit-identical, so the field carries no state.
+        config.pop("backend", None)
         run = cls(**config)
         run.registry.restore(snapshot)
         return run
@@ -411,7 +404,6 @@ def run_lte_family_saturated(
     tech: str,
     scenario: Scenario,
     epochs: int = 15,
-    backend: str = BACKEND_VECTORIZED,
 ) -> SaturatedRun:
     """Run CellFi / plain LTE / Oracle with backlogged traffic."""
     run = SaturatedLteRun(
@@ -420,7 +412,6 @@ def run_lte_family_saturated(
         scenario.n_aps,
         scenario.clients_per_ap,
         epochs=epochs,
-        backend=backend,
         scenario=scenario,
     )
     return run.run()
@@ -796,10 +787,9 @@ def _run_lte_family_web(
     scenario: Scenario,
     pages: List[WebPage],
     duration_s: float,
-    backend: str = BACKEND_VECTORIZED,
 ) -> tuple:
     """Epoch-driven web workload for an LTE-family technology."""
-    net = _make_lte_net(scenario, f"web-{tech}", backend=backend)
+    net = _make_lte_net(scenario, f"web-{tech}")
     policy = _make_policy(tech, scenario, net)
     tracker = FlowTracker()
     pending = sorted(pages, key=lambda p: p.arrival_s)

@@ -20,22 +20,20 @@ Plain LTE uses :class:`AllSubchannelsPolicy`; CellFi plugs in its
 interference manager (:mod:`repro.core`); the centralized oracle plugs in a
 graph-coloring allocator (:mod:`repro.baselines.oracle`).
 
-Three interchangeable epoch backends compute the radio quantities:
+Two interchangeable epoch backends compute the radio quantities, both
+reading the same dense AP<->client link table:
 
 * ``backend="scalar"`` -- the reference implementation: per-link Python
   loops, easy to audit against the formulas in ``docs/SIMULATION.md``;
-* ``backend="vectorized"`` (default) -- whole-matrix NumPy kernels over a
-  cached AP<->client gain matrix.  Interference sums accumulate in the
-  same per-interferer order and dB conversions go through the same
-  ``math.log10`` calls, so the two backends are *bit-identical* for the
-  same seeds (``tests/test_lte_network_vectorized.py`` enforces this);
-* ``backend="incremental"`` -- the vectorized kernels plus a dirty-row
-  tracker: per-AP SINR/CQI/rate blocks are cached and only recomputed
-  when an event (mobility, handover/re-attach, a hopping decision, an
-  activity change) invalidates them.  Interference from APs the cell
-  cannot hear (culled by the gain cache's path-loss horizon) is skipped
-  -- adding an exact ``0.0`` to an IEEE-754 sum is a bitwise no-op, so
-  the backend stays bit-identical to the scalar oracle
+* ``backend="incremental"`` (default) -- whole-matrix NumPy kernels plus
+  a dirty-row tracker: per-AP SINR/CQI/rate blocks are cached and only
+  recomputed when an event (mobility, handover/re-attach, a hopping
+  decision, an activity change) invalidates them.  Interference sums
+  accumulate in the same per-interferer order and dB conversions go
+  through the same ``math.log10`` calls as the scalar loops; interference
+  from APs the cell cannot hear (culled by the gain cache's path-loss
+  horizon) is skipped -- adding an exact ``0.0`` to an IEEE-754 sum is a
+  bitwise no-op.  The two backends are *bit-identical* for the same seeds
   (``tests/test_lte_network_incremental.py`` enforces this).
 """
 
@@ -66,9 +64,8 @@ from repro.utils.dbmath import dbm_to_watt, linear_to_db, thermal_noise_dbm
 
 #: Epoch-kernel backend names.
 BACKEND_SCALAR = "scalar"
-BACKEND_VECTORIZED = "vectorized"
 BACKEND_INCREMENTAL = "incremental"
-_BACKENDS = (BACKEND_SCALAR, BACKEND_VECTORIZED, BACKEND_INCREMENTAL)
+_BACKENDS = (BACKEND_SCALAR, BACKEND_INCREMENTAL)
 
 #: SINR sentinel for links with exactly zero received signal power (a
 #: client beyond the culling horizon of its serving AP, or a signal that
@@ -149,7 +146,7 @@ def _elementwise_db(ratio: np.ndarray) -> np.ndarray:
 def _control_scale(sir_db: float) -> float:
     """Figure 7(b) goodput multiplier from a signal-to-interferer ratio.
 
-    Shared by all three epoch backends so the expression stays bit-for-bit
+    Shared by both epoch backends so the expression stays bit-for-bit
     identical.  ``sir_db`` may be infinite (one dead link) or NaN (both the
     serving and the strongest interfering link are dead); a dead serving
     link delivers zero rate anyway, so NaN resolves to "no control loss".
@@ -286,9 +283,9 @@ class LteNetworkSimulator:
         scheduler_factory: constructs one scheduler per AP.
         control_interference: apply the Figure 7(b) control-channel loss.
         epoch_s: epoch duration (the 1 s allocation interval).
-        backend: ``"vectorized"`` (default), ``"scalar"`` or
-            ``"incremental"``; all produce bit-identical results for the
-            same seeds.
+        backend: ``"incremental"`` (default) or ``"scalar"`` (the
+            per-link reference loops); both produce bit-identical results
+            for the same seeds.
         gain_cache: optional pre-built :class:`GainMatrixCache` for this
             topology/channel (shared with other consumers); built
             internally when omitted.
@@ -319,7 +316,7 @@ class LteNetworkSimulator:
         epoch_s: float = 1.0,
         detector_true_positive: float = CQI_DETECTOR_TRUE_POSITIVE,
         detector_false_positive: float = CQI_DETECTOR_FALSE_POSITIVE,
-        backend: str = BACKEND_VECTORIZED,
+        backend: str = BACKEND_INCREMENTAL,
         gain_cache: Optional[GainMatrixCache] = None,
         cull_loss_db: Optional[float] = None,
         gain_fill: str = FILL_BATCHED,
@@ -348,11 +345,12 @@ class LteNetworkSimulator:
         # Shard view: when ``shard_ap_ids`` is given this simulator owns
         # only those APs and the clients attached to them.  Link rows are
         # filled (and schedulers instantiated) for owned clients/APs only;
-        # foreign rows stay exact zeros, which the culling contract already
-        # treats as dead links.  ``run_epoch`` then requires externally
-        # merged PRACH counts and fast-forwards the epoch RNG streams over
-        # foreign APs so the shard-local draws land on the same PCG64
-        # offsets as the unsharded run (see repro.sim.shard).
+        # foreign rows stay in the dead-link state of the culling contract
+        # (``-inf`` dBm, ``0.0`` W, inaudible PRACH).  ``run_epoch`` then
+        # requires externally merged PRACH counts and fast-forwards the
+        # epoch RNG streams over foreign APs so the shard-local draws land
+        # on the same PCG64 offsets as the unsharded run (see
+        # repro.sim.shard).
         if shard_ap_ids is not None:
             if backend != BACKEND_INCREMENTAL:
                 raise ValueError(
@@ -448,11 +446,13 @@ class LteNetworkSimulator:
     def _precompute_link_powers(self) -> None:
         """Cache per-RB received powers for every (client, AP) pair.
 
-        Builds both the scalar per-link dicts (reference backend) and the
-        dense matrices the vectorized backend indexes; both are filled from
-        the same :class:`GainMatrixCache` queries, one client row at a time
-        (see :meth:`_refresh_client_links`), so a mobility update refreshes
-        exactly one row of everything.
+        Builds the one link table both backends read: dense
+        client x AP matrices of received dBm, received watts and PRACH
+        audibility, indexed through ``_client_row`` / ``_ap_col``.  Rows
+        are filled from :class:`GainMatrixCache` queries one client at a
+        time (see :meth:`_refresh_client_links`), so a mobility update
+        refreshes exactly one row of each matrix.  Rows a shard view does
+        not own start dead (``-inf`` dBm, ``0.0`` W, inaudible).
         """
         # Power spectral density: total power spread across all RBs.
         psd_offset_db = 10.0 * math.log10(self.grid.n_rbs)
@@ -473,10 +473,7 @@ class LteNetworkSimulator:
         self._ap_col: Dict[int, int] = dict(self.gain_cache.ap_index)
         n_clients, n_aps = len(clients), len(aps)
 
-        self._rx_rb_dbm: Dict[Tuple[int, int], float] = {}
-        self._rx_rb_w: Dict[Tuple[int, int], float] = {}
-        self._prach_audible: Dict[Tuple[int, int], bool] = {}
-        self._rx_dbm_mat = np.zeros((n_clients, n_aps))
+        self._rx_dbm_mat = np.full((n_clients, n_aps), float("-inf"))
         self._rx_w_mat = np.zeros((n_clients, n_aps))
         self._prach_mat = np.zeros((n_clients, n_aps), dtype=bool)
         # Bulk-fill every owned row up front so the per-client refresh
@@ -494,7 +491,7 @@ class LteNetworkSimulator:
         for ap in aps:
             self._rebuild_rows_of(ap.ap_id)
 
-        # Lookup tables for the vectorized kernel.  The rate table is built
+        # Lookup tables for the incremental kernel.  The rate table is built
         # through the very same scalar grid call the reference backend makes,
         # so table lookups are bit-identical to recomputation.
         n_subs = self.grid.n_subchannels
@@ -513,9 +510,9 @@ class LteNetworkSimulator:
         """(Re)build one AP's gain-matrix row index array.
 
         Called at build time and whenever a client's *serving* AP changes
-        (handover / re-attach): the vectorized and incremental backends
-        read the serving column through this mapping, so a stale entry
-        would feed them signal power from the old serving cell.
+        (handover / re-attach): the incremental backend reads the serving
+        column through this mapping, so a stale entry would feed it signal
+        power from the old serving cell.
         """
         self._rows_of_ap[ap_id] = np.array(
             [
@@ -534,34 +531,35 @@ class LteNetworkSimulator:
         path and the uplink PRACH path.
 
         Links beyond the gain cache's culling horizon are stored as dead:
-        ``-inf`` dBm, exactly ``0.0`` W and inaudible PRACH.  All backends
-        read these same tables, so culling changes the physics for all of
+        ``-inf`` dBm, exactly ``0.0`` W and inaudible PRACH.  Both backends
+        read this same table, so culling changes the physics for both of
         them identically (the scalar oracle included).
         """
         cid = client.client_id
-        row = self._client_row[cid]
         horizon = self.gain_cache.cull_loss_db
         # Uplink PRACH open-loop power control toward the *serving* cell.
         serving_loss = self.gain_cache.loss_db(cid, client.ap_id)
         prach_tx_dbm = min(self.ue_tx_power_dbm, PRACH_TARGET_RX_DBM + serving_loss)
-        for ap in self.topology.aps:
-            loss = self.gain_cache.loss_db(cid, ap.ap_id)
+        # The cache row is in ``_ap_col`` order, so the loop below builds
+        # each matrix row column by column and stores it in one write.
+        rx_dbm_row: List[float] = []
+        rx_w_row: List[float] = []
+        audible_row: List[bool] = []
+        for loss in self.gain_cache.rows([cid])[0].tolist():
             if horizon is not None and loss > horizon:
-                rx_dbm = float("-inf")
-                rx_w = 0.0
-                audible = False
+                rx_dbm_row.append(float("-inf"))
+                rx_w_row.append(0.0)
+                audible_row.append(False)
             else:
                 rx_dbm = self._per_rb_tx_dbm - loss
-                rx_w = dbm_to_watt(rx_dbm)
                 snr = prach_tx_dbm - loss - self._prach_noise_dbm
-                audible = snr >= PRACH_DETECTION_SNR_DB
-            col = self._ap_col[ap.ap_id]
-            self._rx_rb_dbm[(cid, ap.ap_id)] = rx_dbm
-            self._rx_rb_w[(cid, ap.ap_id)] = rx_w
-            self._prach_audible[(cid, ap.ap_id)] = audible
-            self._rx_dbm_mat[row, col] = rx_dbm
-            self._rx_w_mat[row, col] = rx_w
-            self._prach_mat[row, col] = audible
+                rx_dbm_row.append(rx_dbm)
+                rx_w_row.append(dbm_to_watt(rx_dbm))
+                audible_row.append(snr >= PRACH_DETECTION_SNR_DB)
+        row = self._client_row[cid]
+        self._rx_dbm_mat[row] = rx_dbm_row
+        self._rx_w_mat[row] = rx_w_row
+        self._prach_mat[row] = audible_row
 
     def _mark_rows_dirty(self, ap_id: int) -> None:
         """Bump an AP's row-set version: its cached epoch block is stale."""
@@ -610,8 +608,8 @@ class LteNetworkSimulator:
                 self._owned_clients.add(client_id)
                 self._refresh_client_links(site)
             elif was_owned and not now_owned:
-                # Disown: zero the link rows back to the dead-link state
-                # the culling contract guarantees for foreign clients.
+                # Disown: reset the link rows to the dead-link state the
+                # culling contract guarantees for foreign clients.
                 self._owned_clients.discard(client_id)
                 self._clear_client_links(site)
             elif was_owned:
@@ -625,13 +623,8 @@ class LteNetworkSimulator:
 
     def _clear_client_links(self, client) -> None:
         """Reset a disowned client's cached links to the dead-link state."""
-        cid = client.client_id
-        row = self._client_row[cid]
-        for ap in self.topology.aps:
-            self._rx_rb_dbm.pop((cid, ap.ap_id), None)
-            self._rx_rb_w.pop((cid, ap.ap_id), None)
-            self._prach_audible.pop((cid, ap.ap_id), None)
-        self._rx_dbm_mat[row, :] = 0.0
+        row = self._client_row[client.client_id]
+        self._rx_dbm_mat[row, :] = float("-inf")
         self._rx_w_mat[row, :] = 0.0
         self._prach_mat[row, :] = False
         self._max_cqi_vec[row, :] = 0
@@ -650,11 +643,15 @@ class LteNetworkSimulator:
 
     def rx_rb_power_dbm(self, client_id: int, ap_id: int) -> float:
         """Per-RB received power at a client from an AP."""
-        return self._rx_rb_dbm[(client_id, ap_id)]
+        return self._rx_dbm_mat.item(
+            self._client_row[client_id], self._ap_col[ap_id]
+        )
 
     def prach_audible(self, client_id: int, ap_id: int) -> bool:
         """Whether ``ap_id`` can detect PRACH preambles of ``client_id``."""
-        return self._prach_audible[(client_id, ap_id)]
+        return self._prach_mat.item(
+            self._client_row[client_id], self._ap_col[ap_id]
+        )
 
     def sinr_db(
         self,
@@ -663,13 +660,13 @@ class LteNetworkSimulator:
         interfering_aps: Sequence[int],
     ) -> float:
         """Per-RB SINR at a client for a given co-RB interferer set."""
-        signal_w = self._rx_rb_w[(client_id, serving_ap)]
+        row = self._rx_w_mat[self._client_row[client_id]]
+        ap_col = self._ap_col
+        signal_w = row.item(ap_col[serving_ap])
         if signal_w <= 0.0:
             return ZERO_SIGNAL_SINR_DB
         noise_w = self._rb_noise_w
-        interference_w = sum(
-            self._rx_rb_w[(client_id, ap)] for ap in interfering_aps
-        )
+        interference_w = sum(row.item(ap_col[ap]) for ap in interfering_aps)
         return linear_to_db(signal_w / (noise_w + interference_w))
 
     def clean_sinr_db(self, client_id: int, serving_ap: int) -> float:
@@ -684,13 +681,14 @@ class LteNetworkSimulator:
         weights: Sequence[float],
     ) -> float:
         """SINR with per-interferer duty-cycle weights in [0, 1]."""
-        signal_w = self._rx_rb_w[(client_id, serving_ap)]
+        row = self._rx_w_mat[self._client_row[client_id]]
+        ap_col = self._ap_col
+        signal_w = row.item(ap_col[serving_ap])
         if signal_w <= 0.0:
             return ZERO_SIGNAL_SINR_DB
         noise_w = self._rb_noise_w
         interference_w = sum(
-            w * self._rx_rb_w[(client_id, ap)]
-            for ap, w in zip(interfering_aps, weights)
+            w * row.item(ap_col[ap]) for ap, w in zip(interfering_aps, weights)
         )
         return linear_to_db(signal_w / (noise_w + interference_w))
 
@@ -705,10 +703,10 @@ class LteNetworkSimulator:
         """
         if not self.control_interference or not co_channel_aps:
             return 1.0
-        signal = self._rx_rb_dbm[(client_id, serving_ap)]
-        strongest = max(
-            self._rx_rb_dbm[(client_id, ap)] for ap in co_channel_aps
-        )
+        row = self._rx_dbm_mat[self._client_row[client_id]]
+        ap_col = self._ap_col
+        signal = row.item(ap_col[serving_ap])
+        strongest = max(row.item(ap_col[ap]) for ap in co_channel_aps)
         return _control_scale(signal - strongest)
 
     # -- Epoch execution -----------------------------------------------------------
@@ -736,9 +734,10 @@ class LteNetworkSimulator:
     ) -> bool:
         """Whether a foreign active AP draws RLF values this epoch.
 
-        Mirrors the ``has_rlf_sources`` computation of the simulated
-        backends: the AP holds grants and at least one *other* active AP
-        overlaps them.  Cached per decision context (``_ctx_serial``).
+        Mirrors the ``has_rlf_sources`` computation of
+        :meth:`_incremental_links`: the AP holds grants and at least one
+        *other* active AP overlaps them.  Cached per decision context
+        (``_ctx_serial``).
         """
         serial, gates = self._foreign_rlf_cache
         if serial != self._ctx_serial:
@@ -821,8 +820,16 @@ class LteNetworkSimulator:
             ap.ap_id for ap in self.topology.aps if ap.ap_id in active_aps
         ]
 
+        served_bits: Dict[int, float] = {}
+        throughput: Dict[int, float] = {}
+        allocations: Dict[int, Allocation] = {}
+        observations: Dict[int, ApObservation] = {}
+        connected: Dict[int, bool] = {}
+
+        detector_rng = self.rngs.stream("cqi-detector")
+        rlf_rng = self.rngs.stream("rlf")
+
         scalar = self.backend == BACKEND_SCALAR
-        incremental = self.backend == BACKEND_INCREMENTAL
         if scalar:
             # Per-subchannel interferer sets (only active cells interfere);
             # only the scalar backend consumes this dense map.
@@ -834,25 +841,16 @@ class LteNetworkSimulator:
                 ]
                 for sub in range(self.grid.n_subchannels)
             }
-
-        served_bits: Dict[int, float] = {}
-        throughput: Dict[int, float] = {}
-        allocations: Dict[int, Allocation] = {}
-        observations: Dict[int, ApObservation] = {}
-        connected: Dict[int, bool] = {}
-
-        detector_rng = self.rngs.stream("cqi-detector")
-        rlf_rng = self.rngs.stream("rlf")
-
-        if not scalar and prach_counts is None:
-            # Epoch-wide active-client mask in gain-matrix row order (the
-            # demand-map pass above iterates the same client order), and
-            # the per-AP PRACH contention counts it implies -- computed
-            # once per epoch instead of once per AP (the count for AP j is
-            # exactly ``count_nonzero(active & prach[:, j])``).
-            active_client_vec = np.array(active_flags, dtype=bool)
-            prach_counts = self._prach_mat[active_client_vec].sum(axis=0)
-        if incremental:
+        else:
+            if prach_counts is None:
+                # Epoch-wide active-client mask in gain-matrix row order
+                # (the demand-map pass above iterates the same client
+                # order), and the per-AP PRACH contention counts it implies
+                # -- computed once per epoch instead of once per AP (the
+                # count for AP j is exactly
+                # ``count_nonzero(active & prach[:, j])``).
+                active_client_vec = np.array(active_flags, dtype=bool)
+                prach_counts = self._prach_mat[active_client_vec].sum(axis=0)
             # Canonicalised subchannel sets and the active slice of the
             # decision, shared by every AP's cache-key construction.
             subs_keys = {
@@ -920,21 +918,16 @@ class LteNetworkSimulator:
             else:
                 co_channel = active_list
 
-            if incremental:
-                links = self._incremental_links(
-                    ap, clients, allowed, active_aps, co_channel,
-                    ap_demands, ap_active_demands, prach_counts,
-                    rlf_rng, subs_keys, active_entries,
-                )
-            elif scalar:
+            if scalar:
                 links = self._scalar_links(
                     ap, clients, allowed, interferers_on, co_channel,
                     ap_demands, ap_active_demands, demands_bits, rlf_rng,
                 )
             else:
-                links = self._vector_links(
+                links = self._incremental_links(
                     ap, clients, allowed, active_aps, co_channel,
-                    ap_demands, ap_active_demands, prach_counts, rlf_rng,
+                    ap_demands, ap_active_demands, prach_counts,
+                    rlf_rng, subs_keys, active_entries,
                 )
             for cid in links.disconnected:
                 ap_active_demands.pop(cid, None)
@@ -988,7 +981,7 @@ class LteNetworkSimulator:
             span.__exit__(None, None, None)
             tel.inc("lte.epochs")
             tel.inc("lte.served_bits", sum(served_bits.values()))
-            if incremental:
+            if not scalar:
                 stats = self.last_epoch_stats
                 tel.inc("lte.incremental.dirty_aps", stats["dirty_aps"])
                 tel.inc("lte.incremental.clean_aps", stats["clean_aps"])
@@ -1133,160 +1126,6 @@ class LteNetworkSimulator:
             rate_fn=rate_fn, disconnected=disconnected, observe=observe
         )
 
-    def _vector_links(
-        self,
-        ap,
-        clients,
-        allowed: Dict[int, Set[int]],
-        active_aps: Set[int],
-        co_channel: List[int],
-        ap_demands: Dict[int, float],
-        ap_active_demands: Dict[int, float],
-        prach_counts: np.ndarray,
-        rlf_rng: np.random.Generator,
-    ) -> _EpochLinks:
-        """Vectorized backend: whole-matrix kernels over the cached gains.
-
-        Bit-for-bit identical to :meth:`_scalar_links` by construction:
-
-        * interference accumulates per interferer in ``allowed`` iteration
-          order, exactly as the scalar per-subchannel sums do (adding an
-          exact ``0.0`` for subchannels an interferer does not hold is a
-          bitwise no-op on IEEE-754 positive sums);
-        * dB conversion uses the same ``10 * math.log10`` per element
-          (NumPy's SIMD ``log10`` is *not* bit-identical to libm);
-        * CQI quantisation via ``searchsorted(side="right")`` equals the
-          table walk in :func:`cqi_from_sinr`;
-        * rates come from a table prefilled with the scalar grid function,
-          and RNG draws are batched -- NumPy's batched ``random`` yields
-          the same doubles as repeated scalar draws.
-        """
-        ap_id = ap.ap_id
-        n_subs = self.grid.n_subchannels
-        rows = self._rows_of_ap[ap_id]
-        col = self._ap_col[ap_id]
-        W = self._rx_w_mat
-        m = len(rows)
-
-        signal_w = W[rows, col]                      # (m,)
-        interference_w = np.zeros((m, n_subs))       # (m, n_subs)
-        mask = np.empty(n_subs)
-        for other_id, subs in allowed.items():
-            if other_id == ap_id or other_id not in active_aps:
-                continue
-            mask[:] = 0.0
-            for sub in subs:
-                if 0 <= sub < n_subs:
-                    mask[sub] = 1.0
-            interference_w += W[rows, self._ap_col[other_id]][:, None] * mask
-
-        ratio = signal_w[:, None] / (self._rb_noise_w + interference_w)
-        sinr = _elementwise_db(ratio)
-        clean_db = _elementwise_db(signal_w / self._rb_noise_w)
-        cqi = np.searchsorted(self._cqi_min_sinr, sinr, side="right")
-        clean_cqi = np.searchsorted(self._cqi_min_sinr, clean_db, side="right")
-
-        # Rate matrix: table rate x HARQ scale x control-channel scale,
-        # in the same multiply order as the scalar rate_fn.
-        base = self._rate_table[cqi, np.arange(n_subs)]
-        harq = np.empty((m, n_subs))
-        sinr_rows = sinr.tolist()
-        cqi_rows = cqi.tolist()
-        for i in range(m):
-            sinr_i, cqi_i = sinr_rows[i], cqi_rows[i]
-            for k in range(n_subs):
-                harq[i, k] = self._harq_scale(sinr_i[k], cqi_i[k])
-        if not self.control_interference or not co_channel:
-            ctrl = np.ones(m)
-        else:
-            cols = np.array(
-                [self._ap_col[a] for a in co_channel], dtype=np.intp
-            )
-            strongest = self._rx_dbm_mat[rows[:, None], cols[None, :]].max(axis=1)
-            sir_db = (self._rx_dbm_mat[rows, col] - strongest).tolist()
-            ctrl = np.array([_control_scale(s) for s in sir_db])
-        rate = base * harq
-        rate *= ctrl[:, None]
-
-        # Radio link failure (same model and RNG draw order as the scalar
-        # backend: one draw per demanding client when co-channel data
-        # interference exists).
-        my_subs = allowed.get(ap_id, set())
-        disconnected: Set[int] = set()
-        if my_subs:
-            source_cols = []
-            weights = []
-            for other in co_channel:
-                overlap = len(my_subs & allowed.get(other, set()))
-                if overlap:
-                    source_cols.append(self._ap_col[other])
-                    weights.append(overlap / len(my_subs))
-            if source_cols:
-                weighted_w = np.zeros(m)
-                for c, w in zip(source_cols, weights):
-                    weighted_w += w * W[rows, c]
-                data_ratio = (
-                    signal_w / (self._rb_noise_w + weighted_w)
-                ).tolist()
-                for i, client in enumerate(clients):
-                    if ap_demands[client.client_id] <= 0.0:
-                        continue
-                    r = data_ratio[i]
-                    data_sinr = (
-                        10.0 * math.log10(r) if r > 0.0 else ZERO_SIGNAL_SINR_DB
-                    )
-                    if rlf_rng.random() < rlf_probability(data_sinr):
-                        disconnected.add(client.client_id)
-
-        rate_rows = {
-            clients[i].client_id: rate[i].tolist() for i in range(m)
-        }
-
-        def rate_fn(client_id: int, sub: int) -> float:
-            return rate_rows[client_id][sub]
-
-        # Lets the PF scheduler prefetch straight from the table.
-        rate_fn.rate_rows = rate_rows
-
-        def observe(allocation: Allocation, rng: np.random.Generator):
-            estimated = int(prach_counts[col])
-            draws = rng.random((m, n_subs))
-            best = np.maximum(self._max_cqi_vec[rows], cqi)
-            self._max_cqi_vec[rows] = best
-            truly_interfered = (clean_cqi[:, None] > 0) & (
-                cqi < INTERFERENCE_CQI_DROP_FRACTION * clean_cqi[:, None]
-            )
-            threshold = np.where(
-                truly_interfered,
-                self.detector_true_positive,
-                self.detector_false_positive,
-            )
-            flags = draws < threshold
-            best_rows = best.tolist()
-            flag_rows = flags.tolist()
-            client_obs: Dict[int, ClientObservation] = {}
-            for i in range(m):
-                cid = clients[i].client_id
-                fractions = {
-                    sub: allocation.fraction(cid, sub) for sub in range(n_subs)
-                }
-                client_obs[cid] = ClientObservation(
-                    subband_cqi=cqi_rows[i],
-                    max_subband_cqi=best_rows[i],
-                    interference_detected=flag_rows[i],
-                    scheduled_fraction=fractions,
-                )
-            return ApObservation(
-                ap_id=ap_id,
-                n_active_clients=len(ap_active_demands),
-                estimated_contenders=max(estimated, len(ap_active_demands), 1),
-                clients=client_obs,
-            )
-
-        return _EpochLinks(
-            rate_fn=rate_fn, disconnected=disconnected, observe=observe
-        )
-
     def _audible_columns(
         self, ap_id: int, rows: np.ndarray
     ) -> Tuple[np.ndarray, int]:
@@ -1351,7 +1190,7 @@ class LteNetworkSimulator:
         subchannels).  When neither changed, the cached block is reused
         verbatim; stochastic stages (RLF and detector draws, max-CQI
         tracking, the PRACH contention count) re-execute every epoch so
-        the RNG streams advance exactly as in the other backends.
+        the RNG streams advance exactly as in the scalar backend.
         """
         ap_id = ap.ap_id
         n_subs = self.grid.n_subchannels
@@ -1455,10 +1294,10 @@ class LteNetworkSimulator:
         stats["total_columns"] += n_aps
 
         # Radio link failure draws happen every epoch, in the same order
-        # and count as the other backends: one draw per demanding client
+        # and count as the scalar backend: one draw per demanding client
         # whenever *any* co-channel overlap source exists -- audible or
         # not (a culled source contributes zero interference but still
-        # gates the draw, exactly as the dense backends see it).
+        # gates the draw, exactly as the scalar loop sees it).
         disconnected: Set[int] = set()
         if has_rlf_sources and ap_active_demands:
             data_sinr = block["data_sinr"]
@@ -1654,9 +1493,20 @@ class LteNetworkSimulator:
     ) -> Dict[str, Any]:
         """One AP's deterministic epoch quantities (the cacheable block).
 
-        Identical arithmetic to :meth:`_vector_links`, restricted to the
-        audible neighbour set: skipped neighbours contribute exact zeros,
-        so results are bitwise equal to the dense accumulation.
+        Bit-for-bit identical to :meth:`_scalar_links` by construction:
+
+        * interference accumulates per interferer in ``allowed`` iteration
+          order, exactly as the scalar per-subchannel sums do (adding an
+          exact ``0.0`` for subchannels an interferer does not hold, or for
+          a neighbour outside the audible set, is a bitwise no-op on
+          IEEE-754 positive sums);
+        * dB conversion uses the same ``10 * math.log10`` per element
+          (NumPy's SIMD ``log10`` is *not* bit-identical to libm);
+        * CQI quantisation via ``searchsorted(side="right")`` equals the
+          table walk in :func:`cqi_from_sinr`;
+        * rates come from a table prefilled with the scalar grid function,
+          and detector draws are batched -- NumPy's batched ``random``
+          yields the same doubles as repeated scalar draws.
         """
         W = self._rx_w_mat
         signal_w = W[rows, col]
@@ -1745,7 +1595,7 @@ class LteNetworkSimulator:
         for client in self.topology.clients:
             if all_demands.get(client.client_id, 0.0) <= 0.0:
                 continue
-            if self._prach_audible[(client.client_id, ap_id)]:
+            if self.prach_audible(client.client_id, ap_id):
                 estimated += 1
 
         client_obs: Dict[int, ClientObservation] = {}

@@ -22,7 +22,12 @@ from repro.experiments.large_scale import (
     TECH_ORACLE,
     SaturatedLteRun,
 )
-from repro.sim.checkpoint import latest_checkpoint
+from repro.sim.checkpoint import (
+    Snapshot,
+    from_jsonable,
+    latest_checkpoint,
+    to_jsonable,
+)
 
 
 def _db_config(seed):
@@ -112,6 +117,31 @@ class TestSaturatedLteRoundtrip:
         resumed = SaturatedLteRun.restore(latest_checkpoint(str(tmp_path)))
         result = resumed.run()
         assert result is not None
+        assert result.throughput_bps == expected.throughput_bps
+        assert result.connected_fraction == expected.connected_fraction
+        assert resumed.run_digest() == baseline.run_digest()
+
+    def test_snapshot_naming_old_backend_still_restores(self, tmp_path):
+        # Snapshots written while the dense "vectorized" epoch backend
+        # existed carry a "backend" config field; every backend is
+        # bit-identical, so such a snapshot resumes to the same digest.
+        kwargs = dict(
+            tech=TECH_CELLFI, seed=3, n_aps=3, clients_per_ap=3, epochs=6
+        )
+        baseline = SaturatedLteRun(**kwargs)
+        expected = baseline.run()
+
+        halted = SaturatedLteRun(**kwargs)
+        halted.run(checkpoint_dir=str(tmp_path), checkpoint_every=2, halt_at=3)
+        snapshot = Snapshot.load(latest_checkpoint(str(tmp_path)))
+        config = from_jsonable(snapshot.meta["config"])
+        assert "backend" not in config
+        config["backend"] = "vectorized"
+        snapshot.meta["config"] = to_jsonable(config)
+
+        resumed = SaturatedLteRun.from_snapshot(snapshot)
+        assert "backend" not in resumed.config
+        result = resumed.run()
         assert result.throughput_bps == expected.throughput_bps
         assert result.connected_fraction == expected.connected_fraction
         assert resumed.run_digest() == baseline.run_digest()

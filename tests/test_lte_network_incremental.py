@@ -1,15 +1,19 @@
 """Incremental epoch backend: bit-identity, dirty tracking and culling.
 
-The incremental backend reuses cached per-AP blocks across epochs and
-skips interference from culled neighbours, so these tests hold it to the
-same standard as the vectorized backend: *exact* equality with the scalar
-oracle (no tolerances) under seeded mobility, handover and hopping churn
--- including zero-activity epochs, where the cache does all the work.
+The incremental backend is only allowed to exist because it is *exactly*
+the scalar reference implementation, faster: same RNG draw order, same
+floating-point operation order where it matters, same quantisation.  It
+reuses cached per-AP blocks across epochs and skips interference from
+culled neighbours, so these tests compare complete epoch outputs with
+``==`` (no tolerances) on a seeded 20-cell topology, under full-carrier
+and partial grants, mobility, handover and hopping churn -- including
+zero-activity epochs, where the cache does all the work.
 
-Also pinned here: the hot-path bugfix sweep that rode along with the
-backend -- the ``_rows_of_ap`` handover staleness fix, the read-only
-gain-matrix accessors, the zero-signal CQI clamp, and the PF scheduler
-fast path.
+Also pinned here: backend selection, the link table (dense matrices read
+through ``rx_rb_power_dbm`` / ``prach_audible`` / ``sinr_db``) and its
+gain-cache invalidation on mobility, the ``_rows_of_ap`` handover
+staleness fix, the read-only gain-matrix accessors, the zero-signal CQI
+clamp, and the PF scheduler fast path.
 """
 
 import math
@@ -20,7 +24,6 @@ import pytest
 from repro.lte.network import (
     BACKEND_INCREMENTAL,
     BACKEND_SCALAR,
-    BACKEND_VECTORIZED,
     ZERO_SIGNAL_SINR_DB,
     AllSubchannelsPolicy,
     LteNetworkSimulator,
@@ -94,6 +97,32 @@ class RotatingSubsetPolicy:
             }
             for ap in self.ap_ids
         }
+
+
+def mixed_demand_fn(topology):
+    def fn(epoch):
+        demands = {}
+        for client in topology.clients:
+            cid = client.client_id
+            if cid % 5 == 0:
+                demands[cid] = 0.0
+            elif cid % 3 == 0:
+                demands[cid] = 2e6
+            else:
+                demands[cid] = float("inf")
+        return demands
+
+    return fn
+
+
+def dead_links(net):
+    """``(client_id, ap_id)`` pairs whose link carries exactly 0.0 W."""
+    client_of = {row: cid for cid, row in net._client_row.items()}
+    ap_of = {col: ap_id for ap_id, col in net._ap_col.items()}
+    rows, cols = np.nonzero(net._rx_w_mat == 0.0)
+    return [
+        (client_of[r], ap_of[c]) for r, c in zip(rows.tolist(), cols.tolist())
+    ]
 
 
 def assert_epochs_identical(results_a, results_b):
@@ -170,6 +199,31 @@ def churn_run(net, n_epochs):
 
 
 class TestBackendSelection:
+    def test_default_backend_is_incremental(self):
+        channel = make_channel()
+        topology = make_topology(channel)
+        net = LteNetworkSimulator(
+            topology=topology,
+            grid=ResourceGrid(5e6),
+            channel=channel,
+            rngs=RngStreams(SEED),
+        )
+        assert net.backend == BACKEND_INCREMENTAL
+
+    def test_unknown_backend_rejected(self):
+        channel = make_channel()
+        topology = make_topology(channel)
+        # "vectorized" named a dense backend that no longer exists.
+        for backend in ("gpu", "vectorized"):
+            with pytest.raises(ValueError):
+                LteNetworkSimulator(
+                    topology=topology,
+                    grid=ResourceGrid(5e6),
+                    channel=channel,
+                    rngs=RngStreams(SEED),
+                    backend=backend,
+                )
+
     def test_incremental_backend_accepted(self):
         assert make_net(BACKEND_INCREMENTAL).backend == BACKEND_INCREMENTAL
 
@@ -190,21 +244,66 @@ class TestBackendSelection:
             )
 
 
-class TestBitForBitFuzz:
-    """Scalar vs vectorized vs incremental in lockstep over seeded churn."""
+class TestBitForBitEquivalence:
+    def test_saturated_full_carrier(self):
+        nets = {b: make_net(b) for b in (BACKEND_SCALAR, BACKEND_INCREMENTAL)}
+        results = {}
+        for backend, net in nets.items():
+            policy = AllSubchannelsPolicy(
+                [ap.ap_id for ap in net.topology.aps], net.grid.n_subchannels
+            )
+            demands = {c.client_id: float("inf") for c in net.topology.clients}
+            results[backend] = net.run(2, policy, lambda e: dict(demands))
+        assert_epochs_identical(
+            results[BACKEND_SCALAR], results[BACKEND_INCREMENTAL]
+        )
 
-    def test_three_backends_identical_under_churn(self):
+    def test_partial_subsets_and_mixed_demand(self):
+        nets = {b: make_net(b) for b in (BACKEND_SCALAR, BACKEND_INCREMENTAL)}
+        results = {}
+        for backend, net in nets.items():
+            policy = RotatingSubsetPolicy(
+                [ap.ap_id for ap in net.topology.aps], net.grid.n_subchannels
+            )
+            results[backend] = net.run(
+                3, policy, mixed_demand_fn(net.topology)
+            )
+        assert_epochs_identical(
+            results[BACKEND_SCALAR], results[BACKEND_INCREMENTAL]
+        )
+
+    def test_equivalence_survives_mobility(self):
+        nets = {b: make_net(b) for b in (BACKEND_SCALAR, BACKEND_INCREMENTAL)}
+        policies = {
+            b: RotatingSubsetPolicy(
+                [ap.ap_id for ap in net.topology.aps], net.grid.n_subchannels
+            )
+            for b, net in nets.items()
+        }
+        moved = nets[BACKEND_SCALAR].topology.clients[3].client_id
+        results = {b: [] for b in nets}
+        for backend, net in nets.items():
+            demand_fn = mixed_demand_fn(net.topology)
+            allowed = policies[backend].decide(0, None)
+            results[backend].append(net.run_epoch(0, allowed, demand_fn(0)))
+            net.move_client(moved, 310.0, 1250.0)
+            allowed = policies[backend].decide(
+                1, results[backend][-1].observations
+            )
+            results[backend].append(net.run_epoch(1, allowed, demand_fn(1)))
+        assert_epochs_identical(
+            results[BACKEND_SCALAR], results[BACKEND_INCREMENTAL]
+        )
+
+
+class TestBitForBitFuzz:
+    """Scalar vs incremental in lockstep over seeded churn."""
+
+    def test_backends_identical_under_churn(self):
         results = {
             backend: churn_run(make_net(backend), 8)
-            for backend in (
-                BACKEND_SCALAR,
-                BACKEND_VECTORIZED,
-                BACKEND_INCREMENTAL,
-            )
+            for backend in (BACKEND_SCALAR, BACKEND_INCREMENTAL)
         }
-        assert_epochs_identical(
-            results[BACKEND_SCALAR], results[BACKEND_VECTORIZED]
-        )
         assert_epochs_identical(
             results[BACKEND_SCALAR], results[BACKEND_INCREMENTAL]
         )
@@ -228,11 +327,7 @@ class TestBitForBitFuzz:
         demands = {c.client_id: float("inf") for c in net.topology.clients}
         net.run_epoch(0, policy.decide(0, None), demands)
         assert net.last_epoch_stats["culled_columns"] > 0
-        dead = [
-            (cid, ap_id)
-            for (cid, ap_id), w in net._rx_rb_w.items()
-            if w == 0.0
-        ]
+        dead = dead_links(net)
         assert dead
         for cid, ap_id in dead:
             assert net.rx_rb_power_dbm(cid, ap_id) == float("-inf")
@@ -302,7 +397,7 @@ class TestReattachRegression:
     """The ``_rows_of_ap`` handover-staleness bug (diverged before the fix)."""
 
     def test_reattach_matches_fresh_simulator(self):
-        net = make_net(BACKEND_VECTORIZED)
+        net = make_net(BACKEND_INCREMENTAL)
         roamer = net.topology.clients[0]
         target = next(
             ap.ap_id for ap in net.topology.aps if ap.ap_id != roamer.ap_id
@@ -317,14 +412,12 @@ class TestReattachRegression:
             grid=ResourceGrid(5e6),
             channel=channel,
             rngs=RngStreams(SEED),
-            backend=BACKEND_VECTORIZED,
         )
         for ap_id in net._rows_of_ap:
             assert np.array_equal(
                 net._rows_of_ap[ap_id], fresh._rows_of_ap[ap_id]
             ), f"stale row mapping for AP {ap_id}"
-        assert net._rx_rb_dbm == fresh._rx_rb_dbm
-        assert net._prach_audible == fresh._prach_audible
+        assert np.array_equal(net._rx_dbm_mat, fresh._rx_dbm_mat)
         assert np.array_equal(net._rx_w_mat, fresh._rx_w_mat)
         assert np.array_equal(net._prach_mat, fresh._prach_mat)
 
@@ -346,7 +439,6 @@ class TestReattachRegression:
                 grid=ResourceGrid(5e6),
                 channel=channel,
                 rngs=RngStreams(SEED),
-                backend=BACKEND_VECTORIZED,
             )
             if flavor == "reattached":
                 net.reattach_client(roamer_id, target)
@@ -401,18 +493,103 @@ class TestZeroSignalClamp:
 
     def test_scalar_sinr_queries_clamp_on_dead_links(self):
         net = make_net(BACKEND_SCALAR, cull_loss_db=CULL_DB)
-        dead = next(
-            (cid, ap_id)
-            for (cid, ap_id), w in net._rx_rb_w.items()
-            if w == 0.0
-        )
-        cid, ap_id = dead
+        cid, ap_id = dead_links(net)[0]
         assert net.sinr_db(cid, ap_id, ()) == ZERO_SIGNAL_SINR_DB
         assert net.clean_sinr_db(cid, ap_id) == ZERO_SIGNAL_SINR_DB
         assert (
             net._weighted_sinr_db(cid, ap_id, [ap_id], [0.5])
             == ZERO_SIGNAL_SINR_DB
         )
+
+
+class TestGainCacheInvalidation:
+    def test_cache_matches_direct_channel_queries(self):
+        channel = make_channel()
+        topology = make_topology(channel)
+        cache = GainMatrixCache(channel, topology.aps, topology.clients)
+        for client in topology.clients[:5]:
+            for ap in topology.aps[:5]:
+                assert cache.loss_db(client.client_id, ap.ap_id) == channel.loss_db(
+                    ap, client
+                )
+
+    def test_move_client_refreshes_exactly_one_row(self):
+        net = make_net(BACKEND_INCREMENTAL)
+        moved = net.topology.clients[0].client_id
+        kept = net.topology.clients[1].client_id
+        before_moved = dict(
+            (ap.ap_id, net.rx_rb_power_dbm(moved, ap.ap_id))
+            for ap in net.topology.aps
+        )
+        before_kept = dict(
+            (ap.ap_id, net.rx_rb_power_dbm(kept, ap.ap_id))
+            for ap in net.topology.aps
+        )
+        net.move_client(moved, 1777.0, 60.0)
+        after_moved = dict(
+            (ap.ap_id, net.rx_rb_power_dbm(moved, ap.ap_id))
+            for ap in net.topology.aps
+        )
+        assert after_moved != before_moved
+        for ap in net.topology.aps:
+            assert net.rx_rb_power_dbm(kept, ap.ap_id) == before_kept[ap.ap_id]
+
+    def test_moved_links_match_fresh_simulator(self):
+        net = make_net(BACKEND_INCREMENTAL)
+        moved = net.topology.clients[0].client_id
+        net.move_client(moved, 1777.0, 60.0)
+
+        channel = make_channel()
+        topology = make_topology(channel)
+        topology.move_client(moved, 1777.0, 60.0)
+        fresh = LteNetworkSimulator(
+            topology=topology,
+            grid=ResourceGrid(5e6),
+            channel=channel,
+            rngs=RngStreams(SEED),
+        )
+        assert np.array_equal(net._rx_w_mat, fresh._rx_w_mat)
+        assert np.array_equal(net._rx_dbm_mat, fresh._rx_dbm_mat)
+        assert np.array_equal(net._prach_mat, fresh._prach_mat)
+
+    def test_shared_cache_can_be_injected(self):
+        channel = make_channel()
+        topology = make_topology(channel)
+        cache = GainMatrixCache(channel, topology.aps, topology.clients)
+        net = LteNetworkSimulator(
+            topology=topology,
+            grid=ResourceGrid(5e6),
+            channel=channel,
+            rngs=RngStreams(SEED),
+            gain_cache=cache,
+        )
+        assert net.gain_cache is cache
+
+
+class TestLinkTableAccessors:
+    """The radio queries read the dense link table as plain Python scalars."""
+
+    def test_accessors_return_python_scalars_from_the_matrices(self):
+        net = make_net(BACKEND_SCALAR)
+        client = net.topology.clients[0]
+        cid, serving = client.client_id, client.ap_id
+        others = [ap.ap_id for ap in net.topology.aps if ap.ap_id != serving]
+        row = net._client_row[cid]
+        for ap in net.topology.aps:
+            col = net._ap_col[ap.ap_id]
+            dbm = net.rx_rb_power_dbm(cid, ap.ap_id)
+            audible = net.prach_audible(cid, ap.ap_id)
+            assert type(dbm) is float
+            assert type(audible) is bool
+            assert dbm == net._rx_dbm_mat[row, col]
+            assert audible == net._prach_mat[row, col]
+        assert type(net.sinr_db(cid, serving, others[:3])) is float
+        assert type(net.clean_sinr_db(cid, serving)) is float
+        assert (
+            type(net._weighted_sinr_db(cid, serving, others[:2], [0.5, 1.0]))
+            is float
+        )
+        assert type(net.control_interference_scale(cid, serving, others)) is float
 
 
 class TestGainCacheAccessors:
@@ -569,7 +746,7 @@ class TestCheckpointState:
         assert restored.topology.client(moved.client_id).x == 123.0
         assert restored.topology.client(moved.client_id).y == 456.0
         assert restored.topology.client(roamer.client_id).ap_id == target
-        assert restored._rx_rb_dbm == net._rx_rb_dbm
+        assert np.array_equal(restored._rx_dbm_mat, net._rx_dbm_mat)
         for ap_id in net._rows_of_ap:
             assert np.array_equal(
                 restored._rows_of_ap[ap_id], net._rows_of_ap[ap_id]

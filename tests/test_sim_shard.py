@@ -19,7 +19,7 @@ import pytest
 from repro.lte.network import (
     BACKEND_INCREMENTAL,
     BACKEND_SCALAR,
-    BACKEND_VECTORIZED,
+    ZERO_SIGNAL_SINR_DB,
     AllSubchannelsPolicy,
     LteNetworkSimulator,
 )
@@ -169,6 +169,40 @@ class TestGridPartition:
         assert set(far) == {ap.ap_id for ap in topology.aps} - set(shard)
 
 
+class TestForeignRowsAreDead:
+    """Link rows a shard view does not own read as dead links.
+
+    Same state the culling contract gives a link beyond the horizon:
+    ``-inf`` dBm, inaudible PRACH and the zero-signal SINR floor.
+    """
+
+    def assert_dead(self, net, client_id):
+        for ap in net.topology.aps:
+            assert net.rx_rb_power_dbm(client_id, ap.ap_id) == float("-inf")
+            assert net.prach_audible(client_id, ap.ap_id) is False
+            assert net.sinr_db(client_id, ap.ap_id, ()) == ZERO_SIGNAL_SINR_DB
+
+    def test_foreign_client_reads_dead(self):
+        net = shard_factory(cull_loss_db=None)([0, 1, 2])
+        foreign = next(
+            c for c in net.topology.clients if c.ap_id not in net.shard_ap_ids
+        )
+        self.assert_dead(net, foreign.client_id)
+
+    def test_disowned_client_reads_dead(self):
+        net = shard_factory(cull_loss_db=None)([0, 1, 2])
+        owned = next(
+            c for c in net.topology.clients if c.ap_id in net.shard_ap_ids
+        )
+        target = next(
+            ap.ap_id for ap in net.topology.aps
+            if ap.ap_id not in net.shard_ap_ids
+        )
+        assert net.rx_rb_power_dbm(owned.client_id, owned.ap_id) > float("-inf")
+        net.reattach_client(owned.client_id, target)
+        self.assert_dead(net, owned.client_id)
+
+
 class TestShardModeGuards:
     def test_shard_view_requires_incremental_backend(self):
         channel = make_channel()
@@ -179,7 +213,7 @@ class TestShardModeGuards:
                 grid=ResourceGrid(5e6),
                 channel=channel,
                 rngs=RngStreams(SEED),
-                backend=BACKEND_VECTORIZED,
+                backend=BACKEND_SCALAR,
                 shard_ap_ids=[0, 1],
             )
 
