@@ -15,11 +15,12 @@ conflict-free by construction.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Set
+from typing import Dict, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
 from repro.lte.network import ApObservation, LteNetworkSimulator
+from repro.phy.harq import harq_goodput_scale
 from repro.utils.dbmath import thermal_noise_dbm
 
 
@@ -171,8 +172,14 @@ class OracleAllocator:
 
     # -- Analytic throughput model ------------------------------------------------
 
-    def _column_rates(self, sub: int) -> Dict[int, float]:
+    def _column_rates(
+        self, sub: int, harq_memo: Dict[Tuple[float, int], float]
+    ) -> Dict[int, float]:
         """Per-client rate on subchannel ``sub`` under current holders.
+
+        ``harq_memo`` caches :func:`harq_goodput_scale` on (SINR, CQI) for
+        one solve: the exact function outputs, so memoised and direct
+        evaluation give the same bits.
 
         SINRs are computed from the simulator's cached power matrix in one
         vector operation per holder; interference accumulates in holder
@@ -210,9 +217,11 @@ class OracleAllocator:
                 rate = self.net.grid.subchannel_downlink_rate_bps(
                     efficiency_from_cqi(cqi), sub
                 )
-                rates[cid] = (
-                    rate * self.net._harq_scale(sinr, cqi) / len(clients)
-                )
+                key = (sinr, cqi)
+                scale = harq_memo.get(key)
+                if scale is None:
+                    scale = harq_memo[key] = harq_goodput_scale(sinr, cqi)
+                rates[cid] = rate * scale / len(clients)
         return rates
 
     def _objective(self, column_rates: Dict[int, Dict[int, float]]) -> float:
@@ -230,7 +239,12 @@ class OracleAllocator:
         return objective
 
     def _local_search(self, max_passes: int) -> None:
-        columns = {k: self._column_rates(k) for k in range(self.n_subchannels)}
+        # The search re-evaluates the same links thousands of times; the
+        # HARQ memo lives for this one solve.
+        harq_memo: Dict[Tuple[float, int], float] = {}
+        columns = {
+            k: self._column_rates(k, harq_memo) for k in range(self.n_subchannels)
+        }
         best = self._objective(columns)
         for _ in range(max_passes):
             improved = False
@@ -243,7 +257,7 @@ class OracleAllocator:
                         self.allocation[ap].discard(sub)
                     else:
                         self.allocation[ap].add(sub)
-                    new_column = self._column_rates(sub)
+                    new_column = self._column_rates(sub, harq_memo)
                     old_column = columns[sub]
                     columns[sub] = new_column
                     candidate = self._objective(columns)

@@ -33,6 +33,9 @@ TARGET_BLER = 0.1
 #: steep waterfalls; ~1.5 dB from 90% to 10% BLER.
 _BLER_SLOPE_PER_DB = 1.6
 
+#: Waterfall offset such that ``block_error_rate(threshold) == TARGET_BLER``.
+_BLER_OFFSET_DB = math.log(1.0 / TARGET_BLER - 1.0) / _BLER_SLOPE_PER_DB
+
 
 def block_error_rate(sinr_db: float, cqi: int) -> float:
     """BLER of one transmission at ``sinr_db`` using the MCS of ``cqi``.
@@ -43,9 +46,7 @@ def block_error_rate(sinr_db: float, cqi: int) -> float:
     if cqi == CQI_OUT_OF_RANGE:
         return 1.0
     threshold = entry_for_cqi(cqi).min_sinr_db
-    # Offset such that bler(threshold) == TARGET_BLER.
-    offset = math.log(1.0 / TARGET_BLER - 1.0) / _BLER_SLOPE_PER_DB
-    x = _BLER_SLOPE_PER_DB * (sinr_db - threshold - (-offset))
+    x = _BLER_SLOPE_PER_DB * (sinr_db - threshold - (-_BLER_OFFSET_DB))
     # Guard the exponent to avoid overflow on extreme SINRs.
     if x > 40.0:
         return 0.0
@@ -165,20 +166,47 @@ def harq_goodput_scale(sinr_db: float, cqi: int) -> float:
     Effective goodput = nominal rate x delivered fraction / mean attempts.
     This is what the system-level LTE simulator multiplies into per-CQI
     rates instead of simulating every block.
+
+    Equal bit for bit to ``delivery_probability(sinr_db, cqi) /
+    expected_attempts(sinr_db, cqi)``: each attempt's BLER is evaluated
+    once (the same expression as :func:`block_error_rate`) and feeds both
+    products in the same order.  Once every attempt so far has succeeded
+    with certainty (``p_all_failed == 0.0``), the remaining attempts would
+    only add exact zeros, so the loop stops there.
     """
     if cqi == CQI_OUT_OF_RANGE:
         return 0.0
-    delivered = delivery_probability(sinr_db, cqi)
-    attempts = expected_attempts(sinr_db, cqi)
+    threshold = entry_for_cqi(cqi).min_sinr_db
+    sinr_linear = db_to_linear(sinr_db)
+    expected = 0.0
+    p_all_failed = 1.0
+    for attempt in range(1, MAX_TRANSMISSIONS + 1):
+        # ``linear_to_db`` inlined; it still raises for non-positive ratios.
+        ratio = sinr_linear * attempt
+        combined_db = (
+            10.0 * math.log10(ratio) if ratio > 0.0 else linear_to_db(ratio)
+        )
+        x = _BLER_SLOPE_PER_DB * (combined_db - threshold - (-_BLER_OFFSET_DB))
+        if x > 40.0:
+            p_fail = 0.0
+        elif x < -40.0:
+            p_fail = 1.0
+        else:
+            p_fail = 1.0 / (1.0 + math.exp(x))
+        expected += attempt * (p_all_failed * (1.0 - p_fail))
+        p_all_failed *= p_fail
+        if p_all_failed == 0.0:
+            break
+    expected += MAX_TRANSMISSIONS * p_all_failed
     tel = _obs_runtime.active()
     if tel is not None:
         tel.inc("harq.evaluations")
         tel.observe(
             "harq.expected_attempts",
-            attempts,
+            expected,
             edges=(1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0),
         )
-    return delivered / attempts
+    return (1.0 - p_all_failed) / expected
 
 
 def first_attempt_failure_rate(sinr_db: float, cqi: Optional[int] = None) -> float:

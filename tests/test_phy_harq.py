@@ -1,9 +1,16 @@
 """Unit tests for the HARQ model."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.phy.harq import (
+    _BLER_OFFSET_DB,
+    _BLER_SLOPE_PER_DB,
     MAX_TRANSMISSIONS,
     TARGET_BLER,
     HarqProcess,
@@ -108,3 +115,38 @@ class TestHarqProcess:
 
     def test_empty_process_fraction(self):
         assert HarqProcess(rng=np.random.default_rng(0)).retransmission_fraction == 0.0
+
+
+def _bits(value):
+    return struct.pack("<d", value)
+
+
+class TestFusedGoodputScale:
+    """``harq_goodput_scale`` shares each attempt's BLER between the two
+    closed forms; it must stay their exact quotient."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        sinr=st.floats(min_value=-450.0, max_value=450.0),
+        cqi=st.integers(min_value=0, max_value=15),
+    )
+    @example(sinr=10.0, cqi=0)  # out of range: 0.0 / 4.0
+    @example(sinr=-400.0, cqi=1)  # the zero-signal SINR floor
+    @example(sinr=100.0, cqi=1)  # x > 40 from the first attempt
+    @example(sinr=-60.0, cqi=15)  # x < -40 on every attempt
+    @example(sinr=5.9, cqi=7)  # on the waterfall
+    def test_equals_delivery_over_attempts_bitwise(self, sinr, cqi):
+        expected = delivery_probability(sinr, cqi) / expected_attempts(sinr, cqi)
+        assert _bits(harq_goodput_scale(sinr, cqi)) == _bits(expected)
+
+    def test_examples_reach_both_clamp_branches(self):
+        def x(sinr, cqi, attempt):
+            combined = 10.0 * np.log10(10.0 ** (sinr / 10.0) * attempt)
+            threshold = LTE_CQI_TABLE[cqi - 1].min_sinr_db
+            return _BLER_SLOPE_PER_DB * (combined - threshold + _BLER_OFFSET_DB)
+
+        assert x(100.0, 1, 1) > 40.0
+        assert all(x(-60.0, 15, a) < -40.0 for a in range(1, MAX_TRANSMISSIONS + 1))
+
+    def test_offset_anchors_target_bler(self):
+        assert _BLER_OFFSET_DB == math.log(1.0 / TARGET_BLER - 1.0) / _BLER_SLOPE_PER_DB
