@@ -141,7 +141,9 @@ def _bench_topology(n_cells: int) -> Topology:
         area_m=AREA_M,
         client_range_m=600.0,
     )
-    return reassociate_strongest(topology, _bench_channel().loss_db)
+    return reassociate_strongest(
+        topology, _bench_channel().loss_matrix(topology.aps, topology.clients)
+    )
 
 
 def build_network(

@@ -32,7 +32,9 @@ def main() -> None:
     topology = random_topology(
         rngs.stream("topology"), n_aps=6, clients_per_ap=6, client_range_m=800.0
     )
-    topology = reassociate_strongest(topology, channel.loss_db)
+    topology = reassociate_strongest(
+        topology, channel.loss_matrix(topology.aps, topology.clients)
+    )
     grid = ResourceGrid(5e6)
 
     # The system simulator plus CellFi's interference manager.

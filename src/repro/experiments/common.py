@@ -99,7 +99,9 @@ def build_scenario(
         area_m=area_m,
         client_range_m=client_range_m,
     )
-    topology = reassociate_strongest(topology, channel.loss_db)
+    topology = reassociate_strongest(
+        topology, channel.loss_matrix(topology.aps, topology.clients)
+    )
     return Scenario(
         seed=seed,
         n_aps=n_aps,

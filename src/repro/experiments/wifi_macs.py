@@ -151,7 +151,10 @@ def run_fig2(
         area_m=area_m,
         client_range_m=client_range_m,
     )
-    af_topology = reassociate_strongest(af_topology, outdoor_channel.loss_db)
+    af_topology = reassociate_strongest(
+        af_topology,
+        outdoor_channel.loss_matrix(af_topology.aps, af_topology.clients),
+    )
     scale = calibrate_client_scale(af_topology, outdoor_channel, indoor_channel)
     ac_topology = _shrink_clients(af_topology, scale)
 

@@ -74,8 +74,15 @@ from repro.phy.mcs import (
     cqi_from_sinr,
     efficiency_from_cqi,
 )
-from repro.phy.propagation import FILL_BATCHED, CompositeChannel, GainMatrixCache
+from repro.phy.propagation import (
+    _CHUNK_LINKS,
+    FILL_BATCHED,
+    FILL_SCALAR,
+    CompositeChannel,
+    GainMatrixCache,
+)
 from repro.phy.resource_grid import RB_BANDWIDTH_HZ, ResourceGrid
+from repro.phy.vecmath import vec_dbm_to_watt
 from repro.sim.checkpoint import register_dataclass
 from repro.sim.rng import RngStreams
 from repro.sim.topology import Topology
@@ -559,10 +566,10 @@ class LteNetworkSimulator:
         Builds the one link table both backends read: dense
         client x AP matrices of received dBm, received watts and PRACH
         audibility, indexed through ``_client_row`` / ``_ap_col``.  Rows
-        are filled from :class:`GainMatrixCache` queries one client at a
-        time (see :meth:`_refresh_client_links`), so a mobility update
-        refreshes exactly one row of each matrix.  Rows a shard view does
-        not own start dead (``-inf`` dBm, ``0.0`` W, inaudible).
+        are filled from :class:`GainMatrixCache` rows in chunks of about
+        ``_CHUNK_LINKS`` links (see :meth:`_refresh_links`); a mobility
+        update refreshes exactly one row of each matrix.  Rows a shard
+        view does not own start dead (``-inf`` dBm, ``0.0`` W, inaudible).
         """
         # Power spectral density: total power spread across all RBs.
         psd_offset_db = 10.0 * math.log10(self.grid.n_rbs)
@@ -586,16 +593,18 @@ class LteNetworkSimulator:
         self._rx_dbm_mat = np.full((n_clients, n_aps), float("-inf"))
         self._rx_w_mat = np.zeros((n_clients, n_aps))
         self._prach_mat = np.zeros((n_clients, n_aps), dtype=bool)
-        # Bulk-fill every owned row up front so the per-client refresh
-        # below only reads cached losses; the wall-clock of this fill is
-        # what the ``--gain-fill`` benchmark arm and the shard smoke
-        # gate's cache-build seconds measure.
+        # Bulk-fill every owned row up front so the link-table fill
+        # below only reads cached losses (a cache that adopted the
+        # channel's remembered block has none to fill); the wall-clock of
+        # this fill is what the ``--gain-fill`` benchmark arm and the
+        # shard smoke gate's cache-build seconds measure.
         owned = [c for c in clients if self._owns_client(c.client_id)]
         fill_start = time.perf_counter()
         self.gain_cache.prefill([c.client_id for c in owned])
         self.gain_prefill_s = time.perf_counter() - fill_start
-        for client in owned:
-            self._refresh_client_links(client)
+        step = max(1, _CHUNK_LINKS // max(1, n_aps))
+        for start in range(0, len(owned), step):
+            self._refresh_links(owned[start : start + step])
 
         self._rows_of_ap: Dict[int, np.ndarray] = {}
         for ap in aps:
@@ -631,11 +640,11 @@ class LteNetworkSimulator:
             dtype=np.intp,
         )
 
-    def _refresh_client_links(self, client) -> None:
-        """(Re)compute every cached link quantity for one client.
+    def _refresh_links(self, clients: Sequence) -> None:
+        """(Re)compute the link-table rows of ``clients`` from the gain cache.
 
-        Used for the initial fill and after :meth:`move_client` /
-        :meth:`reattach_client`.  All losses come from the gain cache; the
+        Used for the initial fill and, one client at a time, after
+        mobility or re-attach.  All losses come from the gain cache; the
         channel is reciprocal so one cached entry serves the downlink data
         path and the uplink PRACH path.
 
@@ -643,18 +652,56 @@ class LteNetworkSimulator:
         ``-inf`` dBm, exactly ``0.0`` W and inaudible PRACH.  Both backends
         read this same table, so culling changes the physics for both of
         them identically (the scalar oracle included).
+
+        The rows are array expressions over the cached loss rows: the
+        received power and PRACH SNR are the scalar formula's IEEE
+        subtractions, the watts go through the probed
+        :func:`repro.phy.vecmath.vec_dbm_to_watt`.  A ``"scalar"`` gain
+        cache keeps the per-link loop, the bit-identity oracle.
         """
-        cid = client.client_id
-        horizon = self.gain_cache.cull_loss_db
+        cache = self.gain_cache
+        cids = [client.client_id for client in clients]
         # Uplink PRACH open-loop power control toward the *serving* cell.
-        serving_loss = self.gain_cache.loss_db(cid, client.ap_id)
-        prach_tx_dbm = min(self.ue_tx_power_dbm, PRACH_TARGET_RX_DBM + serving_loss)
-        # The cache row is in ``_ap_col`` order, so the loop below builds
-        # each matrix row column by column and stores it in one write.
+        prach_tx_dbm = [
+            min(
+                self.ue_tx_power_dbm,
+                PRACH_TARGET_RX_DBM + cache.loss_db(client.client_id, client.ap_id),
+            )
+            for client in clients
+        ]
+        # Cache rows are in ``_ap_col`` order, one matrix row per client.
+        losses = cache.rows(cids)
+        rows = [self._client_row[cid] for cid in cids]
+        if cache.fill_mode == FILL_SCALAR:
+            for row, loss_row, prach_dbm in zip(rows, losses.tolist(), prach_tx_dbm):
+                self._link_row_scalar(row, loss_row, prach_dbm)
+            return
+        horizon = cache.cull_loss_db
+        rx_dbm = self._per_rb_tx_dbm - losses
+        snr = (np.array(prach_tx_dbm)[:, np.newaxis] - losses) - self._prach_noise_dbm
+        audible = snr >= PRACH_DETECTION_SNR_DB
+        if horizon is None:
+            rx_w = vec_dbm_to_watt(rx_dbm)
+        else:
+            culled = losses > horizon
+            live = ~culled
+            rx_dbm[culled] = float("-inf")
+            audible &= live
+            rx_w = np.zeros_like(rx_dbm)
+            rx_w[live] = vec_dbm_to_watt(rx_dbm[live])
+        self._rx_dbm_mat[rows] = rx_dbm
+        self._rx_w_mat[rows] = rx_w
+        self._prach_mat[rows] = audible
+
+    def _link_row_scalar(
+        self, row: int, losses: List[float], prach_tx_dbm: float
+    ) -> None:
+        """Per-link reference fill of one link-table row (the oracle)."""
+        horizon = self.gain_cache.cull_loss_db
         rx_dbm_row: List[float] = []
         rx_w_row: List[float] = []
         audible_row: List[bool] = []
-        for loss in self.gain_cache.rows([cid])[0].tolist():
+        for loss in losses:
             if horizon is not None and loss > horizon:
                 rx_dbm_row.append(float("-inf"))
                 rx_w_row.append(0.0)
@@ -665,7 +712,6 @@ class LteNetworkSimulator:
                 rx_dbm_row.append(rx_dbm)
                 rx_w_row.append(dbm_to_watt(rx_dbm))
                 audible_row.append(snr >= PRACH_DETECTION_SNR_DB)
-        row = self._client_row[cid]
         self._rx_dbm_mat[row] = rx_dbm_row
         self._rx_w_mat[row] = rx_w_row
         self._prach_mat[row] = audible_row
@@ -687,7 +733,7 @@ class LteNetworkSimulator:
         site = self.topology.move_client(client_id, x, y)
         self.gain_cache.invalidate_client(client_id, site)
         if self._owns_client(client_id):
-            self._refresh_client_links(site)
+            self._refresh_links([site])
         self._mark_rows_dirty(site.ap_id)
         dirty = self._dirty_rows[site.ap_id]
         if dirty is not None:
@@ -706,7 +752,7 @@ class LteNetworkSimulator:
             return
         site = self.topology.reattach_client(client_id, new_ap_id)
         if self._owned_clients is None:
-            self._refresh_client_links(site)
+            self._refresh_links([site])
         else:
             was_owned = client_id in self._owned_clients
             now_owned = new_ap_id in self.shard_ap_ids
@@ -715,14 +761,14 @@ class LteNetworkSimulator:
                 # Its cross-epoch max-CQI row travels separately (see
                 # import_client_row / repro.sim.shard).
                 self._owned_clients.add(client_id)
-                self._refresh_client_links(site)
+                self._refresh_links([site])
             elif was_owned and not now_owned:
                 # Disown: reset the link rows to the dead-link state the
                 # culling contract guarantees for foreign clients.
                 self._owned_clients.discard(client_id)
                 self._clear_client_links(site)
             elif was_owned:
-                self._refresh_client_links(site)
+                self._refresh_links([site])
             # Foreign-to-foreign handover touches only the replicated
             # topology and the version stamps below.
         for ap_id in (old_ap_id, new_ap_id):

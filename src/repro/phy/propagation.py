@@ -344,6 +344,10 @@ class CompositeChannel:
     ) -> None:
         self.path_loss = path_loss
         self.shadowing = shadowing
+        # The last block :meth:`loss_matrix` built, as (AP coordinate key,
+        # client coordinate key, read-only block); see
+        # :meth:`remembered_loss_matrix`.
+        self._remembered: Optional[tuple] = None
 
     def loss_db(self, node_a, node_b) -> float:
         """Total propagation loss in dB between two positioned nodes."""
@@ -422,6 +426,56 @@ class CompositeChannel:
             block += shadowing._values_from_keys(keys).reshape(block.shape)
         return block
 
+    def loss_matrix(self, aps: Sequence, clients: Sequence) -> np.ndarray:
+        """One deployment's whole ``(len(clients), len(aps))`` loss block.
+
+        Filled through :meth:`loss_db_rows` in chunks of about
+        ``_CHUNK_LINKS`` links (so no per-link key list spans the whole
+        deployment), hence bit-identical per element to
+        ``loss_db(ap, client)``.  The block is returned read-only and
+        remembered -- one entry per channel, replacing the previous one,
+        keyed by the exact float64 coordinates of both endpoint lists --
+        so a batched :class:`GainMatrixCache` built on the same
+        deployment adopts it instead of recomputing it.
+        """
+        aps = list(aps)
+        clients = list(clients)
+        block = np.empty((len(clients), len(aps)))
+        step = max(1, _CHUNK_LINKS // max(1, len(aps)))
+        for start in range(0, len(clients), step):
+            block[start : start + step] = self.loss_db_rows(
+                aps, clients[start : start + step]
+            )
+        block.setflags(write=False)
+        self._remembered = (_coordinate_key(aps), _coordinate_key(clients), block)
+        return block
+
+    def remembered_loss_matrix(
+        self, aps: Sequence, clients: Sequence
+    ) -> Optional[np.ndarray]:
+        """The block :meth:`loss_matrix` last built, if it is for these sites.
+
+        Returns ``None`` unless both coordinate lists equal the remembered
+        ones bit for bit (``-0.0`` and ``0.0`` differ: they format to
+        different shadowing keys).
+        """
+        if self._remembered is None:
+            return None
+        ap_key, client_key, block = self._remembered
+        if ap_key != _coordinate_key(aps) or client_key != _coordinate_key(clients):
+            return None
+        return block
+
+
+def _coordinate_key(nodes: Sequence) -> bytes:
+    """The exact float64 ``(x, y)`` coordinates of ``nodes``, as bytes."""
+    coords = np.fromiter(
+        (v for node in nodes for v in (node.x, node.y)),
+        np.float64,
+        count=2 * len(nodes),
+    )
+    return coords.tobytes()
+
 
 class GainMatrixCache:
     """Cached pairwise AP <-> client link gains for one deployment.
@@ -443,6 +497,16 @@ class GainMatrixCache:
     Invalidation is explicit: mobility code calls :meth:`invalidate_client`
     after moving a client (see :meth:`repro.sim.topology.Topology.move_client`);
     only that client's row is recomputed, lazily, on next access.
+
+    **Adoption.**  A batched cache with no antennas whose AP and client
+    coordinates equal, bit for bit, those of the block the channel last
+    built in :meth:`CompositeChannel.loss_matrix` adopts that block at
+    construction: every row starts valid and no fill runs.  The block
+    stays shared, read-only, until the first fill of at least one stale
+    row, which first copies it (copy-on-write); reads, and fills with no
+    stale row, never copy.  A view :meth:`matrix` returned before that
+    copy keeps showing the shared block.  Scalar-mode caches (the
+    oracle) and caches with antennas never adopt.
 
     Args:
         channel: the composite propagation model.
@@ -490,8 +554,17 @@ class GainMatrixCache:
         self.client_index: Dict[int, int] = {
             c.client_id: i for i, c in enumerate(self._clients)
         }
-        self._loss = np.zeros((len(self._clients), len(self._aps)))
-        self._row_valid = np.zeros(len(self._clients), dtype=bool)
+        shared = None
+        if fill_mode == FILL_BATCHED and not self.ap_antennas:
+            shared = channel.remembered_loss_matrix(self._aps, self._clients)
+        #: True while ``_loss`` is the channel's remembered block.
+        self._shared = shared is not None
+        if self._shared:
+            self._loss = shared
+            self._row_valid = np.ones(len(self._clients), dtype=bool)
+        else:
+            self._loss = np.zeros((len(self._clients), len(self._aps)))
+            self._row_valid = np.zeros(len(self._clients), dtype=bool)
         self._readonly = self._loss.view()
         self._readonly.setflags(write=False)
 
@@ -512,8 +585,17 @@ class GainMatrixCache:
         Rows chunk to ~``_CHUNK_LINKS`` links so kernel temporaries stay
         cache-resident; antenna gains subtract column-wise through the
         antennas' batched ``gains_towards`` (one IEEE subtract per link,
-        exactly as the scalar loop performs it).
+        exactly as the scalar loop performs it).  An adopted block is
+        copied before the first row is written; an empty ``rows`` copies
+        nothing.
         """
+        if len(rows) == 0:
+            return
+        if self._shared:
+            self._loss = self._loss.copy()
+            self._readonly = self._loss.view()
+            self._readonly.setflags(write=False)
+            self._shared = False
         if self.fill_mode == FILL_SCALAR:
             for row in rows:
                 self._fill_row(int(row))

@@ -21,9 +21,9 @@ bit-identical to their scalar counterparts:
   recomputed through scalar ``math.hypot``.
 
 * Probed transcendentals (:data:`vec_log10`, :data:`vec_log`,
-  :data:`vec_cos`, :func:`vec_bearing_deg`) -- on first use each path
-  compares the NumPy ufunc against a ``math.*`` loop over deterministic
-  probe domains.  When the probe passes (NumPy dispatched its scalar
+  :data:`vec_cos`, :data:`vec_pow10`, :func:`vec_bearing_deg`) -- on
+  first use each path compares the NumPy ufunc against a ``math.*``
+  loop over deterministic probe domains.  When the probe passes (NumPy dispatched its scalar
   libm loop -- e.g. under ``NPY_DISABLE_CPU_FEATURES``, see below), the
   vector path is used; otherwise every call transparently falls back to
   a scalar ``map``.  Results are bit-identical either way; only the
@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import math
 import os
+from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional
 
 import numpy as np
@@ -60,6 +61,8 @@ __all__ = [
     "vec_hypot",
     "vec_log",
     "vec_log10",
+    "vec_pow10",
+    "vec_dbm_to_watt",
     "vectorized_report",
 ]
 
@@ -155,6 +158,32 @@ def _cos_samples() -> List[np.ndarray]:
 vec_log10 = _ProbedUnary("log10", np.log10, math.log10, _log_samples)
 vec_log = _ProbedUnary("log", np.log, math.log, _log_samples)
 vec_cos = _ProbedUnary("cos", np.cos, math.cos, _cos_samples)
+
+
+def _pow10_samples() -> List[np.ndarray]:
+    rng = np.random.default_rng(20170611)
+    pools = [
+        (rng.uniform(-200.0, 60.0, 1 << 15) - 30.0) / 10.0,  # dBm -> W domain
+        rng.uniform(-300.0, 300.0, 1 << 15),  # full normal range
+        np.arange(-20.0, 21.0),  # exact powers of ten
+    ]
+    return _probe_sizes(np.concatenate(pools))
+
+
+#: ``10.0 ** x`` (``pow(10.0, x)`` is the same float power).
+vec_pow10 = _ProbedUnary(
+    "pow10", partial(np.power, 10.0), partial(pow, 10.0), _pow10_samples
+)
+
+
+def vec_dbm_to_watt(dbm: np.ndarray) -> np.ndarray:
+    """Elementwise :func:`repro.utils.dbmath.dbm_to_watt`, bit-identical.
+
+    The same ``10.0 ** ((dbm - 30.0) / 10.0)``: the subtract and divide
+    are the same correctly rounded IEEE ops on arrays, the power goes
+    through :data:`vec_pow10`.
+    """
+    return vec_pow10((np.asarray(dbm, dtype=np.float64) - 30.0) / 10.0)
 
 
 class _ProbedBearing:
@@ -373,5 +402,6 @@ def vectorized_report() -> Dict[str, bool]:
         "log10": vec_log10.vectorized,
         "log": vec_log.vectorized,
         "cos": vec_cos.vectorized,
+        "pow10": vec_pow10.vectorized,
         "bearing_deg": vec_bearing_deg.vectorized,
     }

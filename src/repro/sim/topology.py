@@ -268,9 +268,7 @@ def _draw_annulus_point(
     return min(max(x, 0.0), area_m), min(max(y, 0.0), area_m)
 
 
-def reassociate_strongest(
-    topology: Topology, loss_db: Callable[[AccessPointSite, ClientSite], float]
-) -> Topology:
+def reassociate_strongest(topology: Topology, loss_matrix: np.ndarray) -> Topology:
     """Re-associate every client with the AP it receives most strongly.
 
     Real UEs camp on the strongest cell they can hear, not the one whose
@@ -278,23 +276,35 @@ def reassociate_strongest(
     experiments apply this before comparing technologies so association is
     identical for all of them.
 
+    Ties go to the first AP in ``topology.aps`` order (``argmin`` returns
+    the first minimum, as ``min(aps, key=...)`` does).
+
     Args:
         topology: the original layout.
-        loss_db: propagation loss in dB between an AP and a client
-            (typically ``CompositeChannel(...).loss_db``).
+        loss_matrix: the ``(len(topology.clients), len(topology.aps))`` loss
+            matrix in dB, rows in client order and columns in AP order --
+            typically ``CompositeChannel.loss_matrix(topology.aps,
+            topology.clients)``, whose remembered block the simulators
+            built on the same deployment then adopt.
     """
-    new_clients = []
-    for client in topology.clients:
-        best_ap = min(topology.aps, key=lambda ap: loss_db(ap, client))
-        new_clients.append(
-            ClientSite(
-                client_id=client.client_id,
-                x=client.x,
-                y=client.y,
-                ap_id=best_ap.ap_id,
-                height_m=client.height_m,
-            )
+    loss_matrix = np.asarray(loss_matrix)
+    expected = (len(topology.clients), len(topology.aps))
+    if loss_matrix.shape != expected:
+        raise ValueError(
+            f"loss matrix shape {loss_matrix.shape} does not match "
+            f"(clients, aps) = {expected}"
         )
+    best = loss_matrix.argmin(axis=1).tolist() if topology.clients else []
+    new_clients = [
+        ClientSite(
+            client_id=client.client_id,
+            x=client.x,
+            y=client.y,
+            ap_id=topology.aps[col].ap_id,
+            height_m=client.height_m,
+        )
+        for client, col in zip(topology.clients, best)
+    ]
     return Topology(area_m=topology.area_m, aps=list(topology.aps), clients=new_clients)
 
 

@@ -115,7 +115,9 @@ class TestPfOracle:
         rngs = RngStreams(5)
         topo = random_topology(rngs.stream("t"), n_aps=5, clients_per_ap=3)
         topo = reassociate_strongest(
-            topo, CompositeChannel(UrbanHataPathLoss()).loss_db
+            topo, CompositeChannel(UrbanHataPathLoss()).loss_matrix(
+                topo.aps, topo.clients
+            )
         )
         demands = {c.client_id: float("inf") for c in topo.clients}
 

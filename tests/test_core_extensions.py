@@ -135,7 +135,7 @@ def _scenario(seed=13, n_aps=6):
     topo = random_topology(
         rngs.stream("topo"), n_aps=n_aps, clients_per_ap=4, client_range_m=800.0
     )
-    topo = reassociate_strongest(topo, channel.loss_db)
+    topo = reassociate_strongest(topo, channel.loss_matrix(topo.aps, topo.clients))
     net = LteNetworkSimulator(topo, ResourceGrid(5e6), channel, rngs.fork("net"))
     return topo, net
 

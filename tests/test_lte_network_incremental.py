@@ -79,7 +79,9 @@ def make_topology(channel):
         area_m=2000.0,
         client_range_m=600.0,
     )
-    return reassociate_strongest(topology, channel.loss_db)
+    return reassociate_strongest(
+        topology, channel.loss_matrix(topology.aps, topology.clients)
+    )
 
 
 def make_net(backend, cull_loss_db=None):
@@ -104,7 +106,9 @@ def make_big_topology(channel):
         area_m=3000.0,
         client_range_m=600.0,
     )
-    return reassociate_strongest(topology, channel.loss_db)
+    return reassociate_strongest(
+        topology, channel.loss_matrix(topology.aps, topology.clients)
+    )
 
 
 def make_big_net(backend, cull_loss_db=None):
@@ -822,9 +826,10 @@ class TestGainCacheAccessors:
             matrix[0, 0] = 0.0
 
     def test_rows_subset_fills_lazily(self):
-        channel = make_channel()
-        topology = make_topology(channel)
-        cache = GainMatrixCache(channel, topology.aps, topology.clients)
+        topology = make_topology(make_channel())
+        # A fresh channel: one that built the association block would
+        # hand it to the cache, with every row already valid.
+        cache = GainMatrixCache(make_channel(), topology.aps, topology.clients)
         wanted = [c.client_id for c in topology.clients[:3]]
         subset = cache.rows(wanted)
         assert subset.shape == (3, len(topology.aps))
@@ -845,9 +850,9 @@ class TestGainCacheAccessors:
         # to float64 *indices*), which surfaced as a 0-row view with the
         # wrong dtype.  The empty subset must be an explicit float64
         # (0, n_aps) read-only array and must not materialise any rows.
-        channel = make_channel()
-        topology = make_topology(channel)
-        cache = GainMatrixCache(channel, topology.aps, topology.clients)
+        topology = make_topology(make_channel())
+        # A fresh channel, so the cache starts with no valid row.
+        cache = GainMatrixCache(make_channel(), topology.aps, topology.clients)
         subset = cache.rows([])
         assert subset.shape == (0, len(topology.aps))
         assert subset.dtype == np.float64

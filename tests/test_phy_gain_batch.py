@@ -163,7 +163,9 @@ class TestVecMath:
 
     def test_report_shape(self):
         report = vecmath.vectorized_report()
-        assert set(report) == {"hypot", "log10", "log", "cos", "bearing_deg"}
+        assert set(report) == {
+            "hypot", "log10", "log", "cos", "pow10", "bearing_deg"
+        }
         assert all(isinstance(v, bool) for v in report.values())
 
 

@@ -144,6 +144,13 @@ class TestGridTopology:
             grid_topology(0, 1, 100.0)
 
 
+def _distance_matrix(topo):
+    """(clients, aps) ground distances: a monotone loss surrogate."""
+    return np.array(
+        [[ap.distance_to(c) for ap in topo.aps] for c in topo.clients]
+    )
+
+
 class TestReassociation:
     def test_reassociates_to_lowest_loss(self):
         aps = [AccessPointSite(0, 0.0, 0.0), AccessPointSite(1, 1000.0, 0.0)]
@@ -151,15 +158,12 @@ class TestReassociation:
         clients = [ClientSite(0, 990.0, 0.0, ap_id=0)]
         topo = Topology(area_m=1000.0, aps=aps, clients=clients)
 
-        def loss(ap, client):
-            return ap.distance_to(client)  # Monotone surrogate.
-
-        new = reassociate_strongest(topo, loss)
+        new = reassociate_strongest(topo, _distance_matrix(topo))
         assert new.clients[0].ap_id == 1
 
     def test_preserves_positions_and_count(self):
         topo = random_topology(_rng(), n_aps=4, clients_per_ap=5)
-        new = reassociate_strongest(topo, lambda ap, c: ap.distance_to(c))
+        new = reassociate_strongest(topo, _distance_matrix(topo))
         assert len(new.clients) == len(topo.clients)
         assert [(c.x, c.y) for c in new.clients] == [
             (c.x, c.y) for c in topo.clients
@@ -167,6 +171,11 @@ class TestReassociation:
 
     def test_distance_association_is_stable(self):
         topo = random_topology(_rng(), n_aps=4, clients_per_ap=5)
-        once = reassociate_strongest(topo, lambda ap, c: ap.distance_to(c))
-        twice = reassociate_strongest(once, lambda ap, c: ap.distance_to(c))
+        once = reassociate_strongest(topo, _distance_matrix(topo))
+        twice = reassociate_strongest(once, _distance_matrix(once))
         assert [c.ap_id for c in once.clients] == [c.ap_id for c in twice.clients]
+
+    def test_rejects_a_mismatched_matrix(self):
+        topo = random_topology(_rng(), n_aps=4, clients_per_ap=5)
+        with pytest.raises(ValueError):
+            reassociate_strongest(topo, _distance_matrix(topo).T)
