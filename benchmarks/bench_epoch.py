@@ -707,6 +707,10 @@ def _drive_churn(net, demands, schedule, reattaches) -> List[str]:
 GAINFILL_POPULATIONS = ((200, 6), (1000, 10))
 GAINFILL_SMOKE_POPULATIONS = ((50, 6),)
 
+#: Builds per (arm, fill mode); each arm's time is their median.  A
+#: smoke-sized build takes 2-20 ms, so one sample is mostly host noise.
+GAINFILL_REPEATS = 5
+
 
 def _gainfill_cache(
     topology: Topology, channel: CompositeChannel, fill_mode: str
@@ -729,6 +733,12 @@ def _gainfill_cache(
     )
 
 
+def _iqr(samples: Sequence[float]) -> float:
+    """Interquartile range (inclusive quartiles) of ``samples``."""
+    q1, _, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return q3 - q1
+
+
 def run_gainfill_bench(smoke: bool = False) -> Dict:
     """Benchmark full gain-cache builds: batched kernels vs scalar oracle.
 
@@ -739,6 +749,11 @@ def run_gainfill_bench(smoke: bool = False) -> Dict:
     and scalar matrices must hash identical over their raw float64 bytes
     -- the bench doubles as a large-scale bit-identity gate, so a kernel
     regression fails the run rather than shifting golden digests.
+
+    Each arm builds ``GAINFILL_REPEATS`` fresh caches per fill mode,
+    alternating batched and scalar, and reports the median build time
+    with the interquartile range (``*_s_iqr``) beside it.  Every build's
+    matrix is digest-checked.
     """
     populations = GAINFILL_SMOKE_POPULATIONS if smoke else GAINFILL_POPULATIONS
     arms = (
@@ -760,28 +775,43 @@ def run_gainfill_bench(smoke: bool = False) -> Dict:
             "arms": {},
         }
         for arm_name, channel_factory in arms:
-            timings: Dict[str, float] = {}
-            digests: Dict[str, str] = {}
-            for fill_mode in (FILL_BATCHED, FILL_SCALAR):
-                cache = _gainfill_cache(
-                    topology, channel_factory(), fill_mode
-                )
-                gc.collect()
-                start = time.perf_counter()
-                matrix = cache.matrix()
-                timings[fill_mode] = time.perf_counter() - start
-                digests[fill_mode] = hashlib.sha256(
-                    np.ascontiguousarray(matrix).tobytes()
-                ).hexdigest()
-            if digests[FILL_BATCHED] != digests[FILL_SCALAR]:
+            samples: Dict[str, List[float]] = {
+                FILL_BATCHED: [],
+                FILL_SCALAR: [],
+            }
+            digests = set()
+            for _ in range(GAINFILL_REPEATS):
+                for fill_mode in (FILL_BATCHED, FILL_SCALAR):
+                    cache = _gainfill_cache(
+                        topology, channel_factory(), fill_mode
+                    )
+                    gc.collect()
+                    start = time.perf_counter()
+                    matrix = cache.matrix()
+                    samples[fill_mode].append(time.perf_counter() - start)
+                    digests.add(
+                        hashlib.sha256(
+                            np.ascontiguousarray(matrix).tobytes()
+                        ).hexdigest()
+                    )
+                    del cache, matrix
+            if len(digests) != 1:
                 raise SystemExit(
                     f"gain-fill digest mismatch ({arm_name}, {n_cells} "
                     "cells): the batched kernels diverged from the scalar "
-                    "oracle"
+                    "oracle, or a build was not reproducible"
                 )
+            timings = {
+                mode: statistics.median(times)
+                for mode, times in samples.items()
+            }
+            iqrs = {mode: _iqr(times) for mode, times in samples.items()}
             arm = {
+                "repeats": GAINFILL_REPEATS,
                 "batched_s": round(timings[FILL_BATCHED], 4),
+                "batched_s_iqr": round(iqrs[FILL_BATCHED], 4),
                 "scalar_s": round(timings[FILL_SCALAR], 4),
+                "scalar_s_iqr": round(iqrs[FILL_SCALAR], 4),
                 "ns_per_link_batched": round(
                     timings[FILL_BATCHED] / links * 1e9, 1
                 ),
@@ -792,7 +822,7 @@ def run_gainfill_bench(smoke: bool = False) -> Dict:
                     timings[FILL_SCALAR] / timings[FILL_BATCHED], 2
                 ),
                 "digest_match": True,
-                "matrix_sha256": digests[FILL_BATCHED],
+                "matrix_sha256": digests.pop(),
             }
             entry["arms"][arm_name] = arm
             print(

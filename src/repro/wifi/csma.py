@@ -23,6 +23,7 @@ makes the RTS/CTS protection physically meaningful.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -32,7 +33,7 @@ import numpy as np
 from repro.sim.engine import Event, Simulator
 from repro.utils.dbmath import dbm_to_watt, linear_to_db, thermal_noise_dbm
 from repro.wifi.frames import FrameTimings
-from repro.wifi.rates import BASE_MCS, WifiMcs
+from repro.wifi.rates import BASE_MCS, WifiMcs, data_rate_bps
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,12 @@ def mpdu_delivery_fraction(sinr_db: float, required_snr_db: float) -> float:
 
 @dataclass
 class Transmission:
-    """One frame on the air."""
+    """One frame on the air.
+
+    ``overlaps`` is the frame's overlap set, filled by
+    :meth:`WifiMedium.transmit`: every other frame that was on the air at
+    some instant of this one, in transmission order.
+    """
 
     src: int
     dst: Optional[int]
@@ -105,6 +111,9 @@ class Transmission:
     start: float
     end: float
     bits: float = 0.0
+    overlaps: List["Transmission"] = field(
+        default_factory=list, repr=False, compare=False
+    )
 
     def overlap_fraction(self, other: "Transmission") -> float:
         """Fraction of *this* transmission overlapped by ``other``."""
@@ -122,7 +131,10 @@ class WifiMedium:
         sim: the discrete-event simulator driving the network.
         loss_db: propagation loss callback ``(station_a, station_b) -> dB``.
         bandwidth_hz: channel bandwidth (noise floor + rate scaling).
-        params: DCF parameters shared by all nodes.
+        params: DCF parameters shared by all nodes.  The medium keeps its
+            own copy, with ``cs_threshold_dbm`` derived from its noise
+            floor when the caller left it ``None``; ``params`` itself is
+            never written.
         noise_figure_db: receiver noise figure.
     """
 
@@ -135,11 +147,13 @@ class WifiMedium:
         noise_figure_db: float = 7.0,
     ) -> None:
         self.sim = sim
-        self.params = params
         self.bandwidth_hz = bandwidth_hz
         self.noise_dbm = thermal_noise_dbm(bandwidth_hz, noise_figure_db)
         if params.cs_threshold_dbm is None:
-            params.cs_threshold_dbm = self.noise_dbm + CS_DETECT_SNR_DB
+            params = dataclasses.replace(
+                params, cs_threshold_dbm=self.noise_dbm + CS_DETECT_SNR_DB
+            )
+        self.params = params
         self._loss_db = loss_db
         self._stations: Dict[int, Station] = {}
         self._nodes: List["CsmaNode"] = []
@@ -198,7 +212,10 @@ class WifiMedium:
         """Put a frame on the air; notifies carrier-sensing nodes.
 
         Notifications arrive ``cs_delay_s`` after the frame starts, opening
-        the same-slot collision window of real DCF.
+        the same-slot collision window of real DCF.  The new frame's
+        overlap set starts as the frames on the air now, and the new frame
+        joins each of theirs, so every overlap set lists its frames in
+        transmission order.
         """
         tx = Transmission(
             src=src_id,
@@ -207,7 +224,10 @@ class WifiMedium:
             start=self.sim.now,
             end=self.sim.now + duration,
             bits=bits,
+            overlaps=list(self._active),
         )
+        for other in self._active:
+            other.overlaps.append(tx)
         self._active.append(tx)
         self._history.append(tx)
 
@@ -232,15 +252,19 @@ class WifiMedium:
     def sinr_db(self, tx: Transmission) -> float:
         """SINR of ``tx`` at its destination, interference overlap-weighted.
 
-        Evaluated at frame end, using the full history so interferers that
-        already finished still count for the portion they overlapped.
+        ``tx`` must be a frame returned by :meth:`transmit`.  Evaluated at
+        frame end over ``tx``'s overlap set, so interferers that already
+        finished still count for the portion they overlapped.  The overlap
+        set is the part of the air-time history that can overlap ``tx``, in
+        history order, so the sum adds the same terms in the same order as
+        a scan of the whole history would.
         """
         if tx.dst is None:
             raise ValueError("transmission has no destination to evaluate")
         signal_w = dbm_to_watt(self.rx_dbm(tx.src, tx.dst))
         noise_w = dbm_to_watt(self.noise_dbm)
         interference_w = 0.0
-        for other in self._history:
+        for other in tx.overlaps:
             if other is tx or other.src == tx.src:
                 continue
             if other.src == tx.dst:
@@ -278,11 +302,20 @@ class WifiMedium:
     def prune_history(self, horizon_s: float = 0.1) -> None:
         """Drop finished transmissions older than ``horizon_s``.
 
-        Keeps the interference bookkeeping O(recent frames); called
-        periodically by the network driver.
+        ``_history`` is only a record of recent frames (the SINR test reads
+        each frame's overlap set instead); called periodically by the
+        network driver to keep it bounded.
         """
         cutoff = self.sim.now - horizon_s
-        self._history = [t for t in self._history if t.end >= cutoff]
+        kept = []
+        for tx in self._history:
+            if tx.end >= cutoff:
+                kept.append(tx)
+            else:
+                # A dropped frame forgets its overlap set, so overlap sets
+                # cannot chain every frame ever sent into memory.
+                tx.overlaps.clear()
+        self._history = kept
 
 
 @dataclass
@@ -480,8 +513,6 @@ class CsmaNode:
         # the exchange (this is what protects against hidden terminals).
         dest = rts.dst
         mcs = self._dest_mcs[dest]
-        from repro.wifi.rates import data_rate_bps
-
         rate = data_rate_bps(mcs, self.medium.bandwidth_hz)
         agg_bits = self._aggregate_bits(dest, rate)
         data_s = timings.data_frame_s(int(agg_bits / 8.0) + 1, rate)
@@ -511,8 +542,6 @@ class CsmaNode:
     def _send_data(self, dest: int) -> None:
         timings = self.params.timings
         mcs = self._dest_mcs[dest]
-        from repro.wifi.rates import data_rate_bps
-
         rate = data_rate_bps(mcs, self.medium.bandwidth_hz)
         bits = self._aggregate_bits(dest, rate)
         if bits <= 0.0:
@@ -570,8 +599,6 @@ class CsmaNode:
             # Drop the head aggregate; with saturated queues this models
             # the MAC giving up on this frame.
             mcs = self._dest_mcs[dest]
-            from repro.wifi.rates import data_rate_bps
-
             rate = data_rate_bps(mcs, self.medium.bandwidth_hz)
             dropped = self._aggregate_bits(dest, rate)
             self._queue_bits[dest] = max(0.0, self._queue_bits[dest] - dropped)

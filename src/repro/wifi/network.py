@@ -16,7 +16,7 @@ from repro.phy.propagation import CompositeChannel
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 from repro.sim.topology import Topology
-from repro.utils.dbmath import thermal_noise_dbm
+from repro.utils.dbmath import dbm_to_watt, linear_to_db, thermal_noise_dbm
 from repro.wifi.csma import CsmaNode, DcfParams, Station, WifiMedium
 from repro.wifi.frames import FrameTimings
 from repro.wifi.rates import best_mcs
@@ -169,8 +169,6 @@ class WifiNetworkSimulator:
 
     def _long_term_sinr_db(self, serving_ap: int, client_station: int) -> float:
         """SINR driving rate adaptation: noise + duty-cycled interference."""
-        from repro.utils.dbmath import dbm_to_watt, linear_to_db
-
         signal_w = dbm_to_watt(self.medium.rx_dbm(serving_ap, client_station))
         total_w = dbm_to_watt(self.noise_dbm)
         for other in self.topology.aps:

@@ -91,6 +91,22 @@ class TestMedium:
             medium.noise_dbm + 19.0
         )
 
+    def test_shared_params_give_each_medium_its_own_threshold(self):
+        params = DcfParams(timings=FrameTimings(bandwidth_hz=20e6))
+        tvws = WifiMedium(Simulator(), _flat_loss(80.0), 6e6, params)
+        wide = WifiMedium(Simulator(), _flat_loss(80.0), 20e6, params)
+        assert tvws.noise_dbm < wide.noise_dbm
+        assert tvws.params.cs_threshold_dbm == tvws.noise_dbm + 19.0
+        assert wide.params.cs_threshold_dbm == wide.noise_dbm + 19.0
+        assert params.cs_threshold_dbm is None
+
+    def test_explicit_threshold_kept(self):
+        params = DcfParams(
+            timings=FrameTimings(bandwidth_hz=20e6), cs_threshold_dbm=-82.0
+        )
+        medium = WifiMedium(Simulator(), _flat_loss(80.0), 6e6, params)
+        assert medium.params.cs_threshold_dbm == -82.0
+
     def test_sinr_no_interference(self):
         sim = Simulator()
         medium = _medium(sim, loss_db=70.0)
